@@ -9,12 +9,13 @@ operators.  Used to cross-check the closed-form moment machinery.
 from __future__ import annotations
 
 import dataclasses
+import logging
 import math
+import time
 import warnings
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse
 from scipy.optimize import minimize
 
 from .core import MomentState
@@ -31,6 +32,8 @@ TAIL_ERROR = 1e-4
 CUTOFF_CAP = 80
 
 _SQRT2 = math.sqrt(2.0)
+
+_log = logging.getLogger("gausswork")
 
 
 def ladder(dim: int) -> np.ndarray:
@@ -102,10 +105,14 @@ class TruncatedDensityMatrix:
         return self.matrix
 
     def _component_parts(self) -> tuple[np.ndarray, np.ndarray]:
-        """Weights and stacked vectors, decomposing the matrix if needed."""
+        """Weights and stacked vectors, decomposing the matrix if needed.
+
+        Every positive eigenvalue is kept, so moments taken from the
+        components lose none of the matrix's high levels.
+        """
         if self.weights is None:
             eigs, vecs = np.linalg.eigh(self.matrix)
-            keep = eigs > 1e-14
+            keep = eigs > 0.0
             self.weights = eigs[keep]
             self.vectors = np.ascontiguousarray(vecs[:, keep], dtype=complex)
         return self.weights, self.vectors
@@ -245,49 +252,39 @@ def _require_tail(rho: TruncatedDensityMatrix, where: str) -> None:
         )
 
 
-def _quadratures(dim: int, n_modes: int) -> list[scipy.sparse.spmatrix]:
-    """Sparse quadrature operators ordered (x_1, p_1, ..., x_N, p_N)."""
-    a = scipy.sparse.csr_matrix(ladder(dim))
-    eye = scipy.sparse.identity(dim, format="csr")
-    out = []
-    for m in range(n_modes):
-        if n_modes == 1:
-            am = a
-        elif m == 0:
-            am = scipy.sparse.kron(a, eye, format="csr")
-        else:
-            am = scipy.sparse.kron(eye, a, format="csr")
-        out.append(((am + am.getH()) / _SQRT2).tocsr())
-        out.append((-1j * (am - am.getH()) / _SQRT2).tocsr())
-    return out
-
-
 def moments_of(rho: TruncatedDensityMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """First moments and covariance of an oracle state, with tail checks."""
+    """First moments and covariance of an oracle state, with tail checks.
+
+    The component vectors v_k form a (dim,)^n x r tensor.  Its ladder images
+    a v[n] = sqrt(n+1) v[n+1] and a' v[n] = sqrt(n) v[n-1] are shifted slices
+    on each mode axis; one Gram product of the stacked images, weighted by
+    w_k and mapped to the quadratures (x_1, p_1, ..., x_N, p_N), gives every
+    <q_i> and <q_i q_j>.
+    """
     _require_tail(rho, "moments_of")
-    quads = _quadratures(rho.dim, rho.n_modes)
-    k = len(quads)
-    x = np.zeros(k)
-    second = np.zeros((k, k))
-    if rho.weights is not None:
-        w, v = rho.weights, rho.vectors
-        images = [q @ v for q in quads]
-        for i in range(k):
-            x[i] = float(np.real(np.sum(np.conj(v) * images[i] * w)))
-        for i in range(k):
-            for j in range(i, k):
-                val = float(np.real(np.sum(np.conj(images[i]) * images[j] * w)))
-                second[i, j] = second[j, i] = val
-    else:
-        rho_t = rho.matrix.T
-        for i, Xi in enumerate(quads):
-            x[i] = float(np.real((Xi.multiply(rho_t)).sum()))
-        for i in range(k):
-            for j in range(i, k):
-                M = (quads[i] @ quads[j]).tocsr()
-                val = float(np.real((M.multiply(rho_t)).sum()))
-                second[i, j] = second[j, i] = val
-    cov = 2.0 * second - 2.0 * np.outer(x, x)
+    weights, vectors = rho._component_parts()
+    n, dim = rho.n_modes, rho.dim
+    t = vectors.reshape((dim,) * n + (-1,))
+    root = np.sqrt(np.arange(1.0, dim))
+    images = np.zeros((2 * n + 1,) + t.shape, dtype=complex)
+    images[0] = t
+    # rows: 1, then x_m = (a_m + a_m')/sqrt2 and p_m = -i (a_m - a_m')/sqrt2
+    to_quad = np.zeros((2 * n + 1, 2 * n + 1), dtype=complex)
+    to_quad[0, 0] = 1.0
+    for m in range(n):
+        scale = root.reshape((-1,) + (1,) * (n - m))
+        lo = (slice(None),) * m + (slice(None, -1),)
+        hi = (slice(None),) * m + (slice(1, None),)
+        np.multiply(scale, t[hi], out=images[2 * m + 1][lo])
+        np.multiply(scale, t[lo], out=images[2 * m + 2][hi])
+        to_quad[2 * m + 1, 2 * m + 1 : 2 * m + 3] = (1.0 / _SQRT2, 1.0 / _SQRT2)
+        to_quad[2 * m + 2, 2 * m + 1 : 2 * m + 3] = (-1j / _SQRT2, 1j / _SQRT2)
+    weighted = images.conj()
+    weighted *= weights
+    gram = weighted.reshape(2 * n + 1, -1) @ images.reshape(2 * n + 1, -1).T
+    gram = np.real(to_quad.conj() @ gram @ to_quad.T)
+    x = gram[0, 1:]
+    cov = 2.0 * gram[1:, 1:] - 2.0 * np.outer(x, x)
     return x, cov
 
 
@@ -321,144 +318,124 @@ def ergotropy_of(rho: TruncatedDensityMatrix) -> float:
 
 
 def _single_mode_unitary(kind: str, params: dict, dim: int) -> np.ndarray:
+    """A one-mode unitary on dim levels: phases for a rotation, else a dense block."""
+    if kind == "rotation":
+        return np.exp(-1j * params["theta"] * np.arange(dim))
     a = ladder(dim)
     ad = a.T
-    if kind == "rotation":
-        return np.diag(np.exp(-1j * params["theta"] * np.arange(dim)))
     if kind == "squeeze":
         r = params["r"]
-        return scipy.linalg.expm(0.5 * r * (a @ a - ad @ ad)).astype(complex)
+        return scipy.linalg.expm(0.5 * r * (a @ a - ad @ ad))
     if kind == "displacement":
         alpha = params["alpha"]
         return scipy.linalg.expm(alpha * ad - np.conj(alpha) * a)
     raise ValidationError(f"unsupported single-mode kind {kind!r}")
 
 
-def _tms_sparse(r: float, dim: int) -> scipy.sparse.csr_matrix:
-    """exp[r (a'b' - ab)] assembled per photon-number-difference sector."""
-    rows, cols, vals = [], [], []
+def _tms_sectors(r: float, dim: int) -> list:
+    """exp[r (a'b' - ab)] as ((n_a, n_b), block) per photon-number-difference sector."""
+    sectors = []
     for d in range(-(dim - 1), dim):
-        count = dim - abs(d)
-        if d >= 0:
-            idx = [(k + d) * dim + k for k in range(count)]
-        else:
-            idx = [k * dim + (k - d) for k in range(count)]
-        g = np.zeros((count, count))
-        for t in range(count - 1):
-            na, nb = divmod(idx[t], dim)
-            amp = r * math.sqrt((na + 1) * (nb + 1))
-            g[t + 1, t] = amp
-            g[t, t + 1] = -amp
-        u = scipy.linalg.expm(g)
-        for t1 in range(count):
-            for t2 in range(count):
-                rows.append(idx[t1])
-                cols.append(idx[t2])
-                vals.append(u[t1, t2])
-    size = dim * dim
-    return scipy.sparse.csr_matrix(
-        (np.asarray(vals, dtype=complex), (rows, cols)), shape=(size, size)
-    )
+        nb = np.arange(max(0, -d), min(dim, dim - d))
+        na = nb + d
+        amp = r * np.sqrt((na[:-1] + 1.0) * (nb[:-1] + 1.0))
+        sectors.append(((na, nb), scipy.linalg.expm(np.diag(amp, -1) - np.diag(amp, 1))))
+    return sectors
 
 
-def _bs_sparse(theta: float, dim: int) -> scipy.sparse.csr_matrix:
-    """Mode-b parity times exp[theta (a'b - ab')], per total-number sector."""
-    rows, cols, vals = [], [], []
-    for total in range(0, 2 * dim - 1):
-        lo = max(0, total - (dim - 1))
-        hi = min(total, dim - 1)
-        nas = list(range(lo, hi + 1))
-        idx = [na * dim + (total - na) for na in nas]
-        count = len(idx)
-        g = np.zeros((count, count))
-        for t in range(count - 1):
-            na = nas[t]
-            nb = total - na
-            amp = theta * math.sqrt((na + 1) * nb)
-            g[t + 1, t] = amp
-            g[t, t + 1] = -amp
-        u = scipy.linalg.expm(g)
-        for t1 in range(count):
-            parity = -1.0 if (total - nas[t1]) % 2 else 1.0
-            for t2 in range(count):
-                rows.append(idx[t1])
-                cols.append(idx[t2])
-                vals.append(parity * u[t1, t2])
-    size = dim * dim
-    return scipy.sparse.csr_matrix(
-        (np.asarray(vals, dtype=complex), (rows, cols)), shape=(size, size)
-    )
+def _bs_sectors(theta: float, dim: int) -> list:
+    """Mode-b parity times exp[theta (a'b - ab')] as ((n_a, n_b), block) per total-number sector."""
+    sectors = []
+    for total in range(2 * dim - 1):
+        na = np.arange(max(0, total - (dim - 1)), min(total, dim - 1) + 1)
+        nb = total - na
+        amp = theta * np.sqrt((na[:-1] + 1.0) * nb[:-1])
+        u = scipy.linalg.expm(np.diag(amp, -1) - np.diag(amp, 1))
+        sectors.append(((na, nb), (1.0 - 2.0 * (nb % 2))[:, None] * u))
+    return sectors
 
 
-def _sparse_unitary(op: GaussianOp, dim: int) -> scipy.sparse.csr_matrix:
-    """The truncated unitary for an elementary op at the given cutoff."""
-    n = op.n_modes
-    if n not in (1, 2):
+def _unitary_factors(op: GaussianOp, dim: int) -> list[tuple]:
+    """The op's unitary on dim levels per mode as ``(modes, block)`` factors.
+
+    A one-mode factor holds the phases or the dense dim x dim block for its
+    tensor axis; a two-mode factor holds the dense blocks of its conserved
+    sectors.  No factor is a dim^n x dim^n matrix.
+    """
+    if op.n_modes not in (1, 2):
         raise ValidationError("oracle unitaries support one or two modes")
-    if op.kind == "displacement":
-        blocks = []
-        for m in range(n):
-            dx, dp = op.d[2 * m], op.d[2 * m + 1]
-            alpha = complex(dx, dp) / _SQRT2
-            blocks.append(_single_mode_unitary("displacement", {"alpha": alpha}, dim))
-        u = blocks[0]
-        if n == 2:
-            u = scipy.sparse.kron(
-                scipy.sparse.csr_matrix(blocks[0]),
-                scipy.sparse.csr_matrix(blocks[1]),
-                format="csr",
-            )
-            return u
-        return scipy.sparse.csr_matrix(u)
     if op.kind in ("rotation", "squeeze"):
-        u = _single_mode_unitary(op.kind, op.params, dim)
-        us = scipy.sparse.csr_matrix(u)
-        if n == 1:
-            return us
-        eye = scipy.sparse.identity(dim, format="csr")
-        mode = op.modes[0]
-        if mode == 0:
-            return scipy.sparse.kron(us, eye, format="csr")
-        return scipy.sparse.kron(eye, us, format="csr")
+        return [(op.modes, _single_mode_unitary(op.kind, op.params, dim))]
+    if op.kind == "displacement":
+        return [
+            ((m,), _single_mode_unitary("displacement", {"alpha": complex(dx, dp) / _SQRT2}, dim))
+            for m, (dx, dp) in enumerate(op.d.reshape(-1, 2))
+        ]
     if op.kind == "two_mode_squeeze":
-        u = _tms_sparse(op.params["r"], dim)
-        if op.modes == (1, 0):
-            u = _swap_modes(u, dim)
-        return u
+        return [(op.modes, _tms_sectors(op.params["r"], dim))]
     if op.kind == "beam_splitter":
-        u = _bs_sparse(op.params["theta"], dim)
-        if op.modes == (1, 0):
-            u = _swap_modes(u, dim)
-        return u
+        return [(op.modes, _bs_sectors(op.params["theta"], dim))]
     raise ValidationError(f"operation kind {op.kind!r} has no oracle unitary")
 
 
-def _swap_modes(u: scipy.sparse.csr_matrix, dim: int) -> scipy.sparse.csr_matrix:
-    perm = (np.arange(dim * dim).reshape(dim, dim).T).reshape(-1)
-    return u.tocsr()[perm, :][:, perm]
+def _matmul(block: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """block @ rows for complex C-contiguous rows, in real arithmetic if the block is real."""
+    if np.isrealobj(block):
+        return (block @ rows.view(float)).view(complex)
+    return block @ rows
 
 
-def _keep_indices(dim_small: int, dim_big: int, n_modes: int) -> np.ndarray:
-    if n_modes == 1:
-        return np.arange(dim_small)
-    grid = np.arange(dim_small)[:, None] * dim_big + np.arange(dim_small)[None, :]
-    return grid.reshape(-1)
+def _apply_sectors(t: np.ndarray, sectors: list, modes: tuple[int, ...]) -> np.ndarray:
+    """Gather each sector's rows of a (dim, dim, r) tensor, apply its block, scatter.
+
+    Modes (1, 0) transpose the tensor's first two axes, done here by reading
+    the sector levels through the transposed grid of flat indices.
+    """
+    dim = t.shape[0]
+    grid = np.arange(dim * dim).reshape(dim, dim)
+    if modes == (1, 0):
+        grid = grid.T
+    flat = t.reshape(dim * dim, -1)
+    out = np.empty_like(flat)
+    for levels, block in sectors:
+        idx = grid[levels]
+        out[idx] = _matmul(block, flat[idx])
+    return out.reshape(t.shape)
+
+
+def _apply_factors(factors: list[tuple], vectors: np.ndarray, dim: int, n_modes: int) -> np.ndarray:
+    """U v for each column of a dim^n stack, on the internal register, projected back."""
+    dim_int = _internal_dim(dim)
+    r = vectors.shape[1]
+    kept = (slice(dim),) * n_modes
+    t = np.zeros((dim_int,) * n_modes + (r,), dtype=complex)
+    t[kept] = vectors.reshape((dim,) * n_modes + (r,))
+    for modes, block in factors:
+        if len(modes) == 2:
+            t = _apply_sectors(t, block, modes)
+        elif block.ndim == 1:
+            t *= block.reshape((-1,) + (1,) * (n_modes - modes[0]))
+        elif modes[0] == 0:
+            t = _matmul(block, t.reshape(dim_int, -1)).reshape(t.shape)
+        else:
+            t = _matmul(block, t)  # contracts axis 1 for each level of axis 0
+    return np.ascontiguousarray(t[kept].reshape(dim**n_modes, r))
 
 
 def gaussian_unitary_matrix(op: GaussianOp, dim: int) -> np.ndarray:
     """Truncated unitary at the requested cutoff.
 
-    Built in an enlarged internal space (1.5x, at least +10 levels) and
-    projected back down, so matrix elements within the cutoff are accurate
-    for low-energy states.  Raises when the cutoff is too small for the
-    parameter magnitude (measured by mass the vacuum image loses to the
-    discarded levels).
+    The cutoff's identity columns go through the same path as
+    ``apply_gaussian_unitary``: embedded in an enlarged internal space (1.5x,
+    at least +10 levels), transformed there and projected back down, so matrix
+    elements within the cutoff are accurate for low-energy states.  Raises
+    when the cutoff is too small for the parameter magnitude (measured by mass
+    the vacuum image loses to the discarded levels).
     """
     _check_dim(dim)
-    dim_int = _internal_dim(dim)
-    u = _sparse_unitary(op, dim_int)
-    keep = _keep_indices(dim, dim_int, op.n_modes)
-    projected = np.asarray(u[keep, :][:, keep].todense())
+    factors = _unitary_factors(op, _internal_dim(dim))
+    eye = np.eye(dim**op.n_modes, dtype=complex)
+    projected = _apply_factors(factors, eye, dim, op.n_modes)
     vacuum_loss = 1.0 - float(np.sum(np.abs(projected[:, 0]) ** 2))
     if vacuum_loss > TAIL_ERROR:
         raise TruncationError(
@@ -468,47 +445,44 @@ def gaussian_unitary_matrix(op: GaussianOp, dim: int) -> np.ndarray:
     return projected
 
 
-def _embed_stack(v: np.ndarray, dim: int, dim_int: int, n_modes: int) -> np.ndarray:
-    """Pad a stack of column vectors from dim^n to dim_int^n levels."""
-    r = v.shape[1]
-    if n_modes == 1:
-        out = np.zeros((dim_int, r), dtype=complex)
-        out[:dim] = v
-        return out
-    out = np.zeros((dim_int, dim_int, r), dtype=complex)
-    out[:dim, :dim] = v.reshape(dim, dim, r)
-    return out.reshape(dim_int * dim_int, r)
-
-
-def _project_stack(v: np.ndarray, dim: int, dim_int: int, n_modes: int) -> np.ndarray:
-    if n_modes == 1:
-        return np.ascontiguousarray(v[:dim])
-    r = v.shape[1]
-    return np.ascontiguousarray(
-        v.reshape(dim_int, dim_int, r)[:dim, :dim].reshape(dim * dim, r)
-    )
-
-
 def apply_gaussian_unitary(
     op: GaussianOp, rho: TruncatedDensityMatrix
 ) -> TruncatedDensityMatrix:
-    """Conjugate an oracle state by the op's unitary in the enlarged space."""
+    """Conjugate an oracle state by the op's unitary in the enlarged space.
+
+    Logs one debug record on the ``gausswork`` logger with the op ``kind``,
+    the number of component ``columns``, the seconds spent building the
+    unitary's blocks (``build_s``) and applying them (``apply_s``), and the
+    cumulative ``leak``; the fields are also attributes of the record.
+    """
     if op.n_modes != rho.n_modes:
         raise ValidationError("operation and state mode counts differ")
-    dim = rho.dim
-    dim_int = _internal_dim(dim)
-    u = _sparse_unitary(op, dim_int)
     weights, vectors = rho._component_parts()
-    big = u @ _embed_stack(vectors, dim, dim_int, rho.n_modes)
-    small = _project_stack(big, dim, dim_int, rho.n_modes)
+    start = time.perf_counter()
+    factors = _unitary_factors(op, _internal_dim(rho.dim))
+    built = time.perf_counter()
+    small = _apply_factors(factors, vectors, rho.dim, rho.n_modes)
     kept_mass = float(np.sum(weights * np.sum(np.abs(small) ** 2, axis=0)))
-    leak = max(0.0, 1.0 - rho.leak - kept_mass)
+    leak = rho.leak + max(0.0, 1.0 - rho.leak - kept_mass)
+    stats = {
+        "kind": op.kind,
+        "columns": small.shape[1],
+        "build_s": built - start,
+        "apply_s": time.perf_counter() - built,
+        "leak": leak,
+    }
+    _log.debug(
+        "fock.apply.%(kind)s columns=%(columns)d build_s=%(build_s).3g "
+        "apply_s=%(apply_s).3g leak=%(leak).3g",
+        stats,
+        extra=stats,
+    )
     return TruncatedDensityMatrix(
-        dim=dim,
+        dim=rho.dim,
         freqs=rho.freqs,
         weights=weights.copy(),
         vectors=small,
-        leak=rho.leak + leak,
+        leak=leak,
     )
 
 

@@ -23,7 +23,7 @@ from gausswork import (
     steps_from_dict,
 )
 from gausswork.cli import main
-from gausswork.ops import apply, compose
+from gausswork.ops import apply, compose, two_mode_squeeze
 
 
 def write_state(path, freqs, cov, x=None, **extra):
@@ -307,23 +307,47 @@ def test_witness_command(capsys):
 
 
 def test_oracle_verify_protocol_replay(capsys, tmp_path):
-    path = write_state(
-        tmp_path / "mild.json",
-        [1.0, 1.0],
-        np.diag([math.exp(-1.0), math.exp(1.0), 1.0, 1.0]),
+    # An undisplaced local squeeze, and a displaced two-mode-squeezed thermal
+    # state whose replay runs the displacement and two-mode-squeeze unitaries.
+    tms = apply(
+        two_mode_squeeze(0.3),
+        MomentState(
+            freqs=[1.0, 1.5],
+            x=[0.6, -0.4, 0.3, 0.5],
+            cov=np.diag([1.2, 1.2, 1.1, 1.1]),
+        ),
     )
-    out = tmp_path / "protocol.json"
-    code, _, _ = run_json(capsys, ["extract", path, "--out", str(out)])
-    assert code == 0
-    code, payload, _ = run_json(
-        capsys, ["oracle-verify", path, "--protocol", str(out), "--cutoff", "40"]
-    )
-    assert code == 0
-    assert payload["replay_residual"] < 1e-9
-    assert payload["moment_residual"] < 1e-6
-    assert payload["energy_residual"] < 1e-6
-    assert abs(payload["floor_residual"]) < 1e-4
-    assert np.allclose(payload["spectrum"], [1.0, 1.0], atol=1e-9)
+    cases = [
+        (
+            write_state(
+                tmp_path / "mild.json",
+                [1.0, 1.0],
+                np.diag([math.exp(-1.0), math.exp(1.0), 1.0, 1.0]),
+            ),
+            {"squeeze"},
+            [1.0, 1.0],
+        ),
+        (
+            write_state(tmp_path / "displaced.json", tms.freqs, tms.cov, tms.x),
+            {"displacement", "two_mode_squeeze"},
+            [1.2, 1.1],
+        ),
+    ]
+    for k, (path, kinds, spectrum) in enumerate(cases):
+        out = tmp_path / f"protocol-{k}.json"
+        code, _, _ = run_json(capsys, ["extract", path, "--out", str(out)])
+        assert code == 0
+        steps = json.loads(out.read_text())["steps"]
+        assert kinds <= {step["kind"] for step in steps}
+        code, payload, _ = run_json(
+            capsys, ["oracle-verify", path, "--protocol", str(out), "--cutoff", "40"]
+        )
+        assert code == 0
+        assert payload["replay_residual"] < 1e-9
+        assert payload["moment_residual"] < 1e-6
+        assert payload["energy_residual"] < 1e-6
+        assert abs(payload["floor_residual"]) < 1e-4
+        assert np.allclose(payload["spectrum"], spectrum, atol=1e-9)
 
 
 def test_oracle_verify_without_protocol(capsys, misordered_file):

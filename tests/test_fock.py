@@ -1,6 +1,8 @@
 """Truncated Fock-space oracle: states, moments, unitaries, brute-force floor."""
 
+import logging
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,10 +31,10 @@ from gausswork import (
     validate_state,
 )
 from gausswork.fock import (
-    _bs_sparse,
+    TruncatedDensityMatrix,
     _family_energy,
+    _internal_dim,
     _population_diagonal,
-    _tms_sparse,
     mixture,
 )
 from gausswork.ops import (
@@ -182,29 +184,79 @@ def test_insufficient_cutoff_raises():
         gaussian_unitary_matrix(squeeze(2.5), 10)
 
 
-def test_tms_sectors_match_dense_exponential():
-    dim = 10
+def _dense_generator(op, dim):
+    """The op's generator G (U = expm(G)) on dim levels per mode, built with np.kron."""
     a = ladder(dim)
-    ad = a.T
-    for r in (0.35, -0.6):
-        g = r * (np.kron(ad, ad) - np.kron(a, a))
-        dense = scipy.linalg.expm(g)
-        sparse = _tms_sparse(r, dim).toarray()
-        assert np.allclose(sparse, dense, atol=1e-12)
-        assert np.allclose(sparse @ sparse.conj().T, np.eye(dim * dim), atol=1e-12)
+    if op.n_modes == 1:
+        lowers = [a]
+    else:
+        eye = np.eye(dim)
+        lowers = [np.kron(a, eye), np.kron(eye, a)]
+    raises = [m.T for m in lowers]
+    if op.kind == "rotation":
+        m = op.modes[0]
+        return -1j * op.params["theta"] * raises[m] @ lowers[m]
+    if op.kind == "squeeze":
+        m = op.modes[0]
+        return 0.5 * op.params["r"] * (lowers[m] @ lowers[m] - raises[m] @ raises[m])
+    if op.kind == "displacement":
+        g = 0.0
+        for m in range(op.n_modes):
+            alpha = complex(op.d[2 * m], op.d[2 * m + 1]) / math.sqrt(2.0)
+            g = g + alpha * raises[m] - np.conj(alpha) * lowers[m]
+        return g
+    i, j = op.modes
+    if op.kind == "two_mode_squeeze":
+        return op.params["r"] * (raises[i] @ raises[j] - lowers[i] @ lowers[j])
+    return op.params["theta"] * (raises[i] @ lowers[j] - lowers[i] @ raises[j])
 
 
-def test_bs_sectors_match_dense_exponential():
-    dim = 10
-    a = ladder(dim)
-    ad = a.T
-    parity = np.diag([(-1.0) ** (idx % dim) for idx in range(dim * dim)])
-    for theta in (0.45, -1.1, math.pi / 2):
-        g = theta * (np.kron(ad, a) - np.kron(a, ad))
-        dense = parity @ scipy.linalg.expm(g)
-        sparse = _bs_sparse(theta, dim).toarray()
-        assert np.allclose(sparse, dense, atol=1e-12)
-        assert np.allclose(sparse @ sparse.conj().T, np.eye(dim * dim), atol=1e-12)
+@pytest.mark.parametrize(
+    "op",
+    [
+        rotation(0.7),
+        squeeze(-0.3),
+        displacement([0.4, -0.2]),
+        rotation(0.8, 0, 2),
+        rotation(-0.5, 1, 2),
+        squeeze(0.3, 0, 2),
+        squeeze(-0.25, 1, 2),
+        displacement([0.5, -0.3, 0.2, 0.4]),
+        two_mode_squeeze(0.35),
+        two_mode_squeeze(-0.3, (1, 0)),
+        beam_splitter(0.9),
+        beam_splitter(-1.1, (1, 0)),
+    ],
+    ids=lambda op: f"{op.kind}-{op.modes}-n{op.n_modes}",
+)
+def test_unitary_matches_dense_exponential(op):
+    """P expm(G) P^T on the internal register, G built densely, as the reference."""
+    dim = 8
+    dim_int = _internal_dim(dim)
+    g = _dense_generator(op, dim_int)
+    u = scipy.linalg.expm(g)
+    if op.kind == "beam_splitter":
+        # the oracle's beam splitter carries the parity of its second mode
+        occ = np.divmod(np.arange(dim_int**2), dim_int)[op.modes[1]]
+        u = np.diag((-1.0) ** occ) @ u
+    levels = np.arange(dim)
+    keep = levels if op.n_modes == 1 else (levels[:, None] * dim_int + levels).reshape(-1)
+    reference = u[np.ix_(keep, keep)]
+
+    rng = np.random.default_rng(17)
+    cols = 5
+    vectors = rng.normal(size=(dim**op.n_modes, cols)) + 1j * rng.normal(
+        size=(dim**op.n_modes, cols)
+    )
+    vectors /= np.linalg.norm(vectors, axis=0)
+    weights = rng.uniform(0.1, 1.0, cols)
+    freqs = [1.0, 2.0][: op.n_modes]
+    rho = TruncatedDensityMatrix(
+        dim=dim, freqs=freqs, weights=weights / weights.sum(), vectors=vectors
+    )
+    out = apply_gaussian_unitary(op, rho)
+    assert np.max(np.abs(out.vectors - reference @ vectors)) < 1e-12
+    assert np.max(np.abs(gaussian_unitary_matrix(op, dim) - reference)) < 1e-12
 
 
 def test_displacement_unitary_makes_coherent_state():
@@ -279,6 +331,51 @@ def test_conjugation_round_trip_restores_populations():
         _population_diagonal(back), _population_diagonal(rho), atol=1e-9
     )
     assert back.leak >= there.leak >= rho.leak
+
+
+@pytest.mark.parametrize(
+    "op",
+    [
+        rotation(0.8, 0, 2),
+        squeeze(0.4, 1, 2),
+        two_mode_squeeze(0.35),
+        beam_splitter(0.9),
+        displacement([0.5, -0.3, 0.2, 0.4]),
+    ],
+    ids=lambda op: op.kind,
+)
+def test_conjugation_peak_memory(op):
+    """No unitary is assembled: a call peaks at a few copies of the embedded stack."""
+    rho = thermal_fock_state([0.3, 0.2], [1.0, 2.0], 40)
+    stack_bytes = _internal_dim(rho.dim) ** 2 * rho.vectors.shape[1] * 16
+    apply_gaussian_unitary(op, rho)  # lazy set-up inside SciPy stays out of the peak
+    tracemalloc.start()
+    try:
+        apply_gaussian_unitary(op, rho)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * stack_bytes
+
+
+def test_conjugation_logs_one_record_per_call(caplog):
+    rho = thermal_fock_state([0.3, 0.2], [1.0, 2.0], 20)
+    seq = [displacement([0.5, -0.3, 0.2, 0.4]), two_mode_squeeze(0.35)]
+    with caplog.at_level(logging.DEBUG, logger="gausswork"):
+        outs = []
+        for op in seq:
+            rho = apply_gaussian_unitary(op, rho)
+            outs.append(rho)
+    records = [r for r in caplog.records if r.name == "gausswork"]
+    assert len(records) == len(seq)
+    for record, op, out in zip(records, seq, outs):
+        assert record.levelno == logging.DEBUG
+        assert record.kind == op.kind
+        assert record.columns == out.vectors.shape[1]
+        assert record.build_s >= 0.0 and record.apply_s >= 0.0
+        assert record.leak == out.leak
+        assert record.getMessage().startswith(f"fock.apply.{op.kind} columns=")
+    assert records[1].leak >= records[0].leak
 
 
 def test_conjugation_mode_count_mismatch():
