@@ -16,7 +16,6 @@ import numpy as np
 from .exceptions import ValidationError
 
 DEFAULT_TOL = 1e-9
-SPECTRUM_PAIR_RTOL = 1e-8
 
 _OMEGA_BLOCK = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
@@ -131,51 +130,22 @@ def purity(state: MomentState) -> float:
     return 1.0 / math.sqrt(det)
 
 
-def symplectic_spectrum(cov: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
+def symplectic_spectrum(cov: np.ndarray) -> np.ndarray:
     """Symplectic eigenvalues of a covariance matrix, sorted descending.
 
-    For two modes the closed form through the local-invariant
-    Delta = det A + det B + 2 det C is used; otherwise the moduli of the
-    eigenvalues of i*Omega*Gamma are paired up.
+    With the Cholesky factor Gamma = L L^T, the Hermitian matrix
+    i L^T Omega L has eigenvalues +-nu in exact pairs, for any mode count.
     """
     cov = np.asarray(cov, dtype=float)
     if cov.ndim != 2 or cov.shape[0] != cov.shape[1] or cov.shape[0] % 2:
         raise ValidationError("covariance must be square with even dimension")
     n = cov.shape[0] // 2
-    if n == 2:
-        a = cov[0:2, 0:2]
-        b = cov[2:4, 2:4]
-        c = cov[0:2, 2:4]
-        delta = np.linalg.det(a) + np.linalg.det(b) + 2.0 * np.linalg.det(c)
-        det = np.linalg.det(cov)
-        disc = delta * delta - 4.0 * det
-        if disc < 0:
-            if disc < -tol * max(1.0, delta * delta):
-                raise ValidationError(
-                    f"negative discriminant {disc:.3e} in symplectic spectrum"
-                )
-            disc = 0.0
-        root = math.sqrt(disc)
-        hi = math.sqrt(max((delta + root) / 2.0, 0.0))
-        # nu+ nu- = sqrt(det Gamma); dividing avoids the cancellation in the
-        # (delta - root)/2 branch when the eigenvalues are far apart
-        lo = math.sqrt(max(det, 0.0)) / hi if hi > 0 else 0.0
-        return np.array([hi, lo])
-    evals = np.linalg.eigvals(1j * symplectic_form(n) @ cov)
-    resid = float(np.max(np.abs(evals.imag)))
-    if resid > tol * max(1.0, float(np.max(np.abs(evals.real)))):
-        raise ValidationError(
-            f"complex residue {resid:.3e} in symplectic eigenvalues"
-        )
-    mods = np.sort(np.abs(evals.real))[::-1]
-    nus = mods[::2]
-    partners = mods[1::2]
-    gap = float(np.max(np.abs(nus - partners)))
-    if gap > SPECTRUM_PAIR_RTOL * max(1.0, float(nus[0])):
-        raise ValidationError(
-            f"symplectic eigenvalues failed to pair up (gap {gap:.3e})"
-        )
-    return 0.5 * (nus + partners)
+    try:
+        chol = np.linalg.cholesky(cov)
+    except np.linalg.LinAlgError:
+        raise ValidationError("covariance not positive definite") from None
+    evals = np.linalg.eigvalsh(1j * (chol.T @ symplectic_form(n) @ chol))
+    return evals[n:][::-1]
 
 
 def occupation_entropy(mean_occupation: float) -> float:
@@ -205,7 +175,7 @@ def gaussian_entropy(spectrum: np.ndarray, tol: float = DEFAULT_TOL) -> float:
 
 def state_entropy(state: MomentState, tol: float = DEFAULT_TOL) -> float:
     """Entropy of the Gaussian state with this covariance matrix."""
-    return gaussian_entropy(symplectic_spectrum(state.cov, tol), tol)
+    return gaussian_entropy(symplectic_spectrum(state.cov), tol)
 
 
 def thermal_state(freqs, temperatures) -> MomentState:

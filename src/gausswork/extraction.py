@@ -197,27 +197,18 @@ def tms_parameter(a: float, b: float, c1: float, c2: float) -> float:
     return -0.5 * math.atanh((c1 - c2) / (a + b))
 
 
-def bs_angle(a_t: float, b_t: float, c: float) -> float:
+def bs_angle(a_t: float, b_t: float, c: float, first_larger: bool = True) -> float:
     """Beam-splitter angle diagonalizing [[a 1, c 1], [c 1, b 1]].
 
-    The branch puts the larger symplectic eigenvalue on the first mode;
-    degenerate blocks get theta = pi/4 * sign(c).
+    The branch puts the larger symplectic eigenvalue on the first mode, or on
+    the second with first_larger=False; degenerate blocks get
+    theta = +-pi/4 * sign(c), the sign following first_larger.
     """
     if abs(a_t - b_t) <= 1e-14 * max(abs(a_t), abs(b_t), 1.0):
-        return math.pi / 4 * np.sign(c) if c != 0 else 0.0
+        quarter = math.pi / 4 if first_larger else -math.pi / 4
+        return quarter * np.sign(c) if c != 0 else 0.0
     theta = 0.5 * math.atan(2.0 * c / (a_t - b_t))
-    if a_t < b_t:
-        theta += math.pi / 2
-    return theta
-
-
-def _bs_angle_directed(a_t: float, b_t: float, c: float, first_larger: bool) -> float:
-    if first_larger:
-        return bs_angle(a_t, b_t, c)
-    if abs(a_t - b_t) <= 1e-14 * max(abs(a_t), abs(b_t), 1.0):
-        return -math.pi / 4 * np.sign(c) if c != 0 else 0.0
-    theta = 0.5 * math.atan(2.0 * c / (a_t - b_t))
-    if a_t > b_t:
+    if (a_t < b_t) == first_larger:
         theta += math.pi / 2
     return theta
 
@@ -339,7 +330,7 @@ def _pair_extract(
         )
     c = 0.5 * (params.c1 + params.c2)
     first_larger = state.freqs[i] <= state.freqs[j]
-    theta = _bs_angle_directed(params.a, params.b, c, first_larger)
+    theta = bs_angle(params.a, params.b, c, first_larger)
     if abs(theta) > _STEP_EPS:
         state = _emit(steps, beam_splitter(theta, (i, j), n), "P4-beamsplit", state)
     return state

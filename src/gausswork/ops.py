@@ -1,8 +1,9 @@
 r"""Elementary Gaussian operations as affine maps on moments.
 
 Every operation is a pair (S, d) acting as Gamma -> S Gamma S^T and
-x -> S x + d, with S symplectic.  Constructors produce operations embedded
-in an N-mode system so they can be chained on multimode states directly.
+x -> S x + d, with S symplectic.  An operation stores only the 2k x 2k block
+of S on its k target modes plus the full displacement d of its N-mode
+system; the embedded 2N x 2N S is built on demand.
 """
 
 from __future__ import annotations
@@ -16,7 +17,13 @@ from .exceptions import ValidationError
 
 SYMPLECTIC_TOL = 1e-10
 
-_SIGMA_Z = np.diag([1.0, -1.0])
+# kind -> (parameter name, number of target modes, sign of the inverse's parameter)
+_KINDS = {
+    "rotation": ("theta", 1, -1.0),
+    "squeeze": ("r", 1, -1.0),
+    "two_mode_squeeze": ("r", 2, -1.0),
+    "beam_splitter": ("theta", 2, 1.0),  # involutive for every theta
+}
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -25,10 +32,11 @@ class GaussianOp:
 
     kind is one of rotation, squeeze, two_mode_squeeze, beam_splitter,
     displacement, or sequence (for compositions); params holds the defining
-    scalars and modes the target mode indices.
+    scalars and modes the target mode indices.  block is the symplectic on
+    those modes, in their order; d is the displacement of the whole system.
     """
 
-    S: np.ndarray
+    block: np.ndarray
     d: np.ndarray
     kind: str
     params: dict
@@ -36,67 +44,69 @@ class GaussianOp:
 
     @property
     def n_modes(self) -> int:
-        return self.S.shape[0] // 2
+        return self.d.size // 2
+
+    @property
+    def S(self) -> np.ndarray:
+        """The 2N x 2N symplectic: block on the target modes, identity elsewhere."""
+        S = np.eye(2 * self.n_modes)
+        idx = _indices(self.modes)
+        S[np.ix_(idx, idx)] = self.block
+        return S
 
 
-def _embed(block: np.ndarray, modes: tuple[int, ...], n_modes: int) -> np.ndarray:
-    """Place a 2k x 2k block acting on the given modes inside 2N x 2N identity."""
-    S = np.eye(2 * n_modes)
-    idx = np.concatenate([[2 * m, 2 * m + 1] for m in modes])
-    S[np.ix_(idx, idx)] = block
-    return S
+def _indices(modes) -> list[int]:
+    return [q for m in modes for q in (2 * m, 2 * m + 1)]
 
 
-def _check_modes(modes, n_modes):
+def _block(kind: str, value: float) -> np.ndarray:
+    """The symplectic of one elementary kind on its own one or two modes."""
+    if kind == "rotation":
+        c, s = np.cos(value), np.sin(value)
+        return np.array([[c, s], [-s, c]])
+    if kind == "squeeze":
+        return np.diag([np.exp(-value), np.exp(value)])
+    if kind == "two_mode_squeeze":
+        ch, sh = np.cosh(value), np.sinh(value)
+        return np.array(
+            [[ch, 0.0, sh, 0.0], [0.0, ch, 0.0, -sh], [sh, 0.0, ch, 0.0], [0.0, -sh, 0.0, ch]]
+        )
+    c, s = np.cos(value), np.sin(value)  # beam_splitter
+    return np.array([[c, 0.0, s, 0.0], [0.0, c, 0.0, s], [s, 0.0, -c, 0.0], [0.0, s, 0.0, -c]])
+
+
+def _elementary(kind: str, value: float, modes, n_modes: int) -> GaussianOp:
+    name, count, _ = _KINDS[kind]
+    modes = tuple(modes)
+    if len(modes) != count:
+        raise ValidationError(f"{kind} acts on {count} mode(s), got target modes {list(modes)}")
     for m in modes:
         if not 0 <= m < n_modes:
             raise ValidationError(f"mode index {m} out of range for {n_modes} modes")
     if len(set(modes)) != len(modes):
         raise ValidationError("target modes must be distinct")
+    return GaussianOp(
+        block=_block(kind, value),
+        d=np.zeros(2 * n_modes),
+        kind=kind,
+        params={name: float(value)},
+        modes=modes,
+    )
 
 
 def rotation(theta: float, mode: int = 0, n_modes: int = 1) -> GaussianOp:
     """Phase-space rotation R(theta) = [[cos, sin], [-sin, cos]] on one mode."""
-    _check_modes((mode,), n_modes)
-    c, s = np.cos(theta), np.sin(theta)
-    block = np.array([[c, s], [-s, c]])
-    return GaussianOp(
-        S=_embed(block, (mode,), n_modes),
-        d=np.zeros(2 * n_modes),
-        kind="rotation",
-        params={"theta": float(theta)},
-        modes=(mode,),
-    )
+    return _elementary("rotation", theta, (mode,), n_modes)
 
 
 def squeeze(r: float, mode: int = 0, n_modes: int = 1) -> GaussianOp:
     """Single-mode squeeze diag(e^-r, e^r)."""
-    _check_modes((mode,), n_modes)
-    block = np.diag([np.exp(-r), np.exp(r)])
-    return GaussianOp(
-        S=_embed(block, (mode,), n_modes),
-        d=np.zeros(2 * n_modes),
-        kind="squeeze",
-        params={"r": float(r)},
-        modes=(mode,),
-    )
+    return _elementary("squeeze", r, (mode,), n_modes)
 
 
 def two_mode_squeeze(r: float, modes: tuple[int, int] = (0, 1), n_modes: int = 2) -> GaussianOp:
     """Two-mode squeeze [[cosh r * 1, sinh r * sz], [sinh r * sz, cosh r * 1]]."""
-    _check_modes(modes, n_modes)
-    ch, sh = np.cosh(r), np.sinh(r)
-    block = np.block([
-        [ch * np.eye(2), sh * _SIGMA_Z],
-        [sh * _SIGMA_Z, ch * np.eye(2)],
-    ])
-    return GaussianOp(
-        S=_embed(block, tuple(modes), n_modes),
-        d=np.zeros(2 * n_modes),
-        kind="two_mode_squeeze",
-        params={"r": float(r)},
-        modes=tuple(modes),
-    )
+    return _elementary("two_mode_squeeze", r, modes, n_modes)
 
 
 def beam_splitter(theta: float, modes: tuple[int, int] = (0, 1), n_modes: int = 2) -> GaussianOp:
@@ -104,23 +114,11 @@ def beam_splitter(theta: float, modes: tuple[int, int] = (0, 1), n_modes: int = 
 
     theta = pi/2 swaps the two modes; the map is involutive for every theta.
     """
-    _check_modes(modes, n_modes)
-    c, s = np.cos(theta), np.sin(theta)
-    block = np.block([
-        [c * np.eye(2), s * np.eye(2)],
-        [s * np.eye(2), -c * np.eye(2)],
-    ])
-    return GaussianOp(
-        S=_embed(block, tuple(modes), n_modes),
-        d=np.zeros(2 * n_modes),
-        kind="beam_splitter",
-        params={"theta": float(theta)},
-        modes=tuple(modes),
-    )
+    return _elementary("beam_splitter", theta, modes, n_modes)
 
 
 def displacement(d, n_modes: int | None = None) -> GaussianOp:
-    """Phase-space displacement x -> x + d with identity S."""
+    """Phase-space displacement x -> x + d with identity S, targeting every mode."""
     d = np.asarray(d, dtype=float).reshape(-1)
     if d.size % 2:
         raise ValidationError("displacement vector must have even length")
@@ -128,7 +126,7 @@ def displacement(d, n_modes: int | None = None) -> GaussianOp:
     if d.size != 2 * n:
         raise ValidationError(f"displacement length {d.size} does not match {n} modes")
     return GaussianOp(
-        S=np.eye(2 * n),
+        block=np.eye(2 * n),
         d=d.copy(),
         kind="displacement",
         params={"d": [float(v) for v in d]},
@@ -145,33 +143,46 @@ def is_symplectic(S: np.ndarray, tol: float = SYMPLECTIC_TOL) -> bool:
 
 
 def apply(op: GaussianOp, state: MomentState) -> MomentState:
-    """Transform a state's moments: Gamma -> S Gamma S^T, x -> S x + d."""
-    if op.S.shape[0] != 2 * state.n_modes:
+    """Transform a state's moments: Gamma -> S Gamma S^T, x -> S x + d.
+
+    Only the rows and columns of the op's target modes are computed.
+    """
+    if op.n_modes != state.n_modes:
         raise ValidationError(
             f"operation acts on {op.n_modes} modes, state has {state.n_modes}"
         )
-    return MomentState(
-        freqs=state.freqs,
-        x=op.S @ state.x + op.d,
-        cov=op.S @ state.cov @ op.S.T,
-    )
+    idx = _indices(op.modes)
+    x = state.x.copy()
+    x[idx] = op.block @ x[idx]
+    cov = state.cov.copy()
+    cov[idx] = op.block @ cov[idx]
+    cov[:, idx] = cov[:, idx] @ op.block.T
+    return MomentState(freqs=state.freqs, x=x + op.d, cov=cov)
 
 
 def compose(ops) -> GaussianOp:
-    """Compose operations applied left to right: ops[0] acts first."""
+    """Compose operations applied left to right: ops[0] acts first.
+
+    The result's modes are the sorted union of the ops' modes, and its block
+    is the composed S on that union.
+    """
     ops = list(ops)
     if not ops:
         raise ValidationError("cannot compose an empty operation list")
-    S = ops[0].S.copy()
-    d = ops[0].d.copy()
-    for op in ops[1:]:
-        if op.S.shape != S.shape:
+    n = ops[0].n_modes
+    S = np.eye(2 * n)
+    d = np.zeros(2 * n)
+    for op in ops:
+        if op.n_modes != n:
             raise ValidationError("composed operations act on different mode counts")
-        d = op.S @ d + op.d
-        S = op.S @ S
+        idx = _indices(op.modes)
+        S[idx] = op.block @ S[idx]
+        d[idx] = op.block @ d[idx]
+        d += op.d
     modes = tuple(sorted({m for op in ops for m in op.modes}))
+    union = _indices(modes)
     return GaussianOp(
-        S=S,
+        block=S[np.ix_(union, union)],
         d=d,
         kind="sequence",
         params={"length": len(ops)},
@@ -181,23 +192,20 @@ def compose(ops) -> GaussianOp:
 
 def inverse(op: GaussianOp) -> GaussianOp:
     """Exact inverse: negated parameter per kind, beam splitters self-invert."""
-    n = op.n_modes
-    if op.kind == "rotation":
-        return rotation(-op.params["theta"], op.modes[0], n)
-    if op.kind == "squeeze":
-        return squeeze(-op.params["r"], op.modes[0], n)
-    if op.kind == "two_mode_squeeze":
-        return two_mode_squeeze(-op.params["r"], op.modes, n)
-    if op.kind == "beam_splitter":
-        return beam_splitter(op.params["theta"], op.modes, n)
+    if op.kind in _KINDS:
+        name, _, sign = _KINDS[op.kind]
+        return _elementary(op.kind, sign * op.params[name], op.modes, op.n_modes)
     if op.kind == "displacement":
-        return displacement(-op.d, n)
-    # generic fall-back: S is symplectic, so S^-1 = Omega^T S^T Omega
-    omega = symplectic_form(n)
-    S_inv = omega.T @ op.S.T @ omega
+        return displacement(-op.d, op.n_modes)
+    # generic fall-back: the block is symplectic, so its inverse is Omega^T B^T Omega
+    omega = symplectic_form(len(op.modes))
+    block = omega.T @ op.block.T @ omega
+    idx = _indices(op.modes)
+    d = op.d.copy()
+    d[idx] = block @ d[idx]
     return GaussianOp(
-        S=S_inv,
-        d=-(S_inv @ op.d),
+        block=block,
+        d=-d,
         kind="sequence",
         params={"inverse_of": op.kind},
         modes=op.modes,
@@ -207,29 +215,21 @@ def inverse(op: GaussianOp) -> GaussianOp:
 def op_from_label(kind: str, params: dict, modes, n_modes: int) -> GaussianOp:
     """Rebuild an operation from its serialized label."""
     modes = tuple(int(m) for m in modes)
-    if kind == "rotation":
-        return rotation(float(params["theta"]), modes[0], n_modes)
-    if kind == "squeeze":
-        return squeeze(float(params["r"]), modes[0], n_modes)
-    if kind == "two_mode_squeeze":
-        return two_mode_squeeze(float(params["r"]), modes, n_modes)
-    if kind == "beam_splitter":
-        return beam_splitter(float(params["theta"]), modes, n_modes)
     if kind == "displacement":
+        if modes != tuple(range(n_modes)):
+            raise ValidationError(f"displacement targets every mode, got {list(modes)}")
         return displacement(np.asarray(params["d"], dtype=float), n_modes)
-    raise ValidationError(f"unknown operation kind {kind!r}")
+    if kind not in _KINDS:
+        raise ValidationError(f"unknown operation kind {kind!r}")
+    return _elementary(kind, float(params[_KINDS[kind][0]]), modes, n_modes)
 
 
 def describe(op: GaussianOp) -> str:
     """One-line human-readable description used in trace tables."""
-    if op.kind == "rotation":
-        return f"rotation(theta={op.params['theta']:.9g}) on mode {op.modes[0]}"
-    if op.kind == "squeeze":
-        return f"squeeze(r={op.params['r']:.9g}) on mode {op.modes[0]}"
-    if op.kind == "two_mode_squeeze":
-        return f"two_mode_squeeze(r={op.params['r']:.9g}) on modes {op.modes[0]},{op.modes[1]}"
-    if op.kind == "beam_splitter":
-        return f"beam_splitter(theta={op.params['theta']:.9g}) on modes {op.modes[0]},{op.modes[1]}"
+    if op.kind in _KINDS:
+        name = _KINDS[op.kind][0]
+        where = "mode" if len(op.modes) == 1 else "modes"
+        return f"{op.kind}({name}={op.params[name]:.9g}) on {where} {','.join(map(str, op.modes))}"
     if op.kind == "displacement":
         norm = float(np.linalg.norm(op.d))
         return f"displacement(|d|={norm:.9g})"

@@ -501,3 +501,19 @@ def test_protocol_dict_errors():
                 ],
             }
         )
+    # a one-mode op on two targets used to load as that op on the first one
+    with pytest.raises(FileFormatError, match="rotation acts on 1 mode"):
+        steps_from_dict(
+            {
+                "final_state": final,
+                "steps": [
+                    {
+                        "stage": "P2-local",
+                        "kind": "rotation",
+                        "parameters": {"theta": 0.3},
+                        "target_modes": [0, 1],
+                        "energy_after": 0.0,
+                    }
+                ],
+            }
+        )

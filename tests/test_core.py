@@ -141,7 +141,7 @@ def test_spectrum_invariant_under_symplectics():
 
 
 def test_spectrum_matches_general_path_on_two_modes():
-    # closed form (N=2) against the generic eigenvalue route (N=3 embedding)
+    # two modes against their embedding next to a vacuum mode (N=3)
     rng = np.random.default_rng(7)
     for _ in range(20):
         nus = 1.0 + rng.uniform(0.0, 5.0, 2)
@@ -163,6 +163,45 @@ def test_spectrum_matches_general_path_on_two_modes():
 def test_spectrum_rejects_odd_dimension():
     with pytest.raises(ValidationError):
         symplectic_spectrum(np.eye(3))
+
+
+def test_spectrum_rejects_indefinite_covariance():
+    with pytest.raises(ValidationError, match="not positive definite"):
+        symplectic_spectrum(np.diag([1.0, 1.0, 2.0, -0.5]))
+
+
+def _mixing_symplectic(rng, n, layers=2, r_local=3.0, r_tms=2.0):
+    # per layer: a rotation and a squeeze on every mode, then two-mode
+    # squeezes and beam splitters on random disjoint pairs
+    scale = 1.0 / math.sqrt(layers)
+    seq = []
+    for _ in range(layers):
+        for m in range(n):
+            seq.append(rotation(rng.uniform(-math.pi, math.pi), m, n))
+            seq.append(squeeze(scale * rng.uniform(-r_local, r_local), m, n))
+        for make, lo in ((two_mode_squeeze, scale * r_tms), (beam_splitter, math.pi)):
+            perm = rng.permutation(n)
+            for k in range(0, n - 1, 2):
+                seq.append(make(rng.uniform(-lo, lo), (int(perm[k]), int(perm[k + 1])), n))
+    return compose(seq).S
+
+
+def test_spectrum_of_strongly_squeezed_states():
+    # Regression: pairing the eigenvalues of the non-Hermitian i Omega Gamma
+    # rejected valid 4- and 8-mode states of this family with max |Gamma|
+    # 2e4-1.3e5 ("complex residue" 7e-9 to 1.2e-7).
+    rng = np.random.default_rng(3)
+    largest = 0.0
+    for n in (2, 3, 4, 8):
+        for _ in range(300):
+            nus = rng.uniform(1.0, 10.0, n)
+            S = _mixing_symplectic(rng, n)
+            cov = (S * np.repeat(nus, 2)) @ S.T
+            cov = 0.5 * (cov + cov.T)
+            largest = max(largest, float(np.max(np.abs(cov))))
+            assert validate_state(MomentState(freqs=np.ones(n), x=np.zeros(2 * n), cov=cov)).ok
+            assert np.allclose(symplectic_spectrum(cov), np.sort(nus)[::-1], rtol=1e-7, atol=0.0)
+    assert largest > 1e5
 
 
 def test_occupation_entropy_values():

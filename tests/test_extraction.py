@@ -180,6 +180,13 @@ def test_bs_angle_values():
     assert bs_angle(2.0, 2.0, 0.0) == 0.0
     # smaller first block: branch shifted so the larger eigenvalue leads
     assert np.isclose(bs_angle(2.0, 3.0, 0.5), -math.pi / 8 + math.pi / 2, atol=1e-15)
+    # larger eigenvalue on the second mode: the sign flips when degenerate,
+    # and the pi/2 branch moves to a_t > b_t
+    assert bs_angle(2.0, 2.0, 0.5, first_larger=False) == -math.pi / 4
+    assert bs_angle(2.0, 2.0, -0.5, first_larger=False) == math.pi / 4
+    assert bs_angle(2.0, 2.0, 0.0, first_larger=False) == 0.0
+    assert np.isclose(bs_angle(3.0, 2.0, 0.5, first_larger=False), math.pi / 8 + math.pi / 2, atol=1e-15)
+    assert np.isclose(bs_angle(2.0, 3.0, 0.5, first_larger=False), -math.pi / 8, atol=1e-15)
 
 
 def test_bs_angle_diagonalizes_symmetric_coupling():

@@ -112,24 +112,36 @@ def test_is_symplectic_rejects_non_symplectic():
     assert not is_symplectic(np.eye(4)[:2])
 
 
-def test_apply_affine_law():
+_AFFINE_CASES = {
+    "rotation": rotation(0.9, 3, 5),
+    "squeeze": squeeze(-0.7, 1, 5),
+    "two_mode_squeeze": two_mode_squeeze(0.4, (3, 1), 5),
+    "beam_splitter": beam_splitter(1.1, (4, 0), 5),
+    "displacement": displacement(np.linspace(-1.0, 1.0, 10)),
+    "compose": compose(
+        [two_mode_squeeze(0.4, (3, 1), 5), rotation(0.9, 0, 5), beam_splitter(1.1, (0, 3), 5)]
+    ),
+    "inverse": inverse(
+        compose(
+            [displacement(np.linspace(0.5, -0.4, 10)), squeeze(0.6, 2, 5), two_mode_squeeze(-0.3, (4, 2), 5)]
+        )
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(_AFFINE_CASES))
+def test_apply_affine_law(name):
+    op = _AFFINE_CASES[name]
     rng = np.random.default_rng(5)
-    st = MomentState(
-        freqs=[1.0, 2.0],
-        x=rng.normal(size=4),
-        cov=np.diag([1.5, 1.5, 3.0, 3.0]),
-    )
-    op = compose(
-        [
-            two_mode_squeeze(0.4),
-            displacement([0.1, 0.2, 0.3, 0.4]),
-            rotation(0.9, 1, 2),
-        ]
-    )
+    a = 0.5 * rng.normal(size=(10, 10))
+    st = MomentState(freqs=np.linspace(1.0, 3.0, 5), x=rng.normal(size=10), cov=np.eye(10) + a @ a.T)
     out = apply(op, st)
-    assert np.allclose(out.x, op.S @ st.x + op.d, atol=1e-14)
-    assert np.allclose(out.cov, op.S @ st.cov @ op.S.T, atol=1e-14)
+    np.testing.assert_allclose(out.x, op.S @ st.x + op.d, rtol=0.0, atol=1e-14)
+    np.testing.assert_allclose(out.cov, op.S @ st.cov @ op.S.T, rtol=0.0, atol=1e-14)
     assert np.array_equal(out.freqs, st.freqs)
+    rest = [q for m in range(5) if m not in op.modes for q in (2 * m, 2 * m + 1)]
+    assert np.array_equal(out.x[rest], st.x[rest])
+    assert np.array_equal(out.cov[np.ix_(rest, rest)], st.cov[np.ix_(rest, rest)])
 
 
 def test_apply_rejects_mode_mismatch():
@@ -200,12 +212,25 @@ def test_op_from_label_rejects_unknown_kind():
         op_from_label("teleport", {}, (0,), 1)
 
 
+def test_op_from_label_rejects_target_count_mismatch():
+    with pytest.raises(ValidationError, match="rotation acts on 1 mode"):
+        op_from_label("rotation", {"theta": 0.3}, [0, 1], 2)
+    with pytest.raises(ValidationError, match="beam_splitter acts on 2 mode"):
+        op_from_label("beam_splitter", {"theta": 0.3}, [0, 1, 2], 3)
+    with pytest.raises(ValidationError, match="displacement targets every mode"):
+        op_from_label("displacement", {"d": [0.0] * 4}, [1], 2)
+
+
 def test_embedding_targets_only_named_modes():
     op = squeeze(0.9, 1, 3)
     S = op.S
     # modes 0 and 2 untouched
     assert np.allclose(S[np.ix_([0, 1, 4, 5], [0, 1, 4, 5])], np.eye(4), atol=1e-15)
     assert np.allclose(S[2:4, 2:4], np.diag([math.exp(-0.9), math.exp(0.9)]), atol=1e-15)
+    # reversed targets: mode 2 is the beam splitter's first mode
+    S = beam_splitter(0.3, (2, 0), 3).S
+    c, s = math.cos(0.3), math.sin(0.3)
+    assert np.allclose(S[np.ix_([4, 5, 0, 1], [4, 5, 0, 1])], np.kron([[c, s], [s, -c]], np.eye(2)), atol=1e-15)
     with pytest.raises(ValidationError):
         squeeze(0.1, 3, 3)
     with pytest.raises(ValidationError):
