@@ -14,11 +14,11 @@ import sys
 
 import numpy as np
 
-from . import fock
 from .core import (
     DEFAULT_TOL,
     mean_energy,
     purity,
+    require_valid,
     state_entropy,
     symplectic_spectrum,
     validate_state,
@@ -73,9 +73,7 @@ def cmd_validate(args) -> int:
 
 def cmd_check(args) -> int:
     state = load_state(args.path)
-    report = validate_state(state, DEFAULT_TOL)
-    if not report.ok:
-        raise ValidationError("; ".join(report.violations))
+    require_valid(state)
     if state.n_modes == 2:
         verdict = is_gaussian_passive(state, args.tol)
     else:
@@ -86,6 +84,7 @@ def cmd_check(args) -> int:
 
 def cmd_spectrum(args) -> int:
     state = load_state(args.path)
+    require_valid(state)
     spectrum = symplectic_spectrum(state.cov)
     _emit_json(
         {
@@ -166,6 +165,8 @@ def cmd_witness(args) -> int:
 
 
 def cmd_oracle_verify(args) -> int:
+    from . import fock  # the only verb that needs SciPy
+
     state = load_state(args.path)
     payload: dict = {"cutoff": args.cutoff}
 

@@ -14,9 +14,10 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import sys
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .core import (
     MomentState,
@@ -35,13 +36,10 @@ from .extraction import (
     minimal_gaussian_energy,
     nmode_gaussian_ergotropy,
 )
-from .fock import (
-    TruncatedDensityMatrix,
-    apply_gaussian_unitary,
-    density_matrix,
-    pure_state,
-)
 from .ops import apply, beam_splitter, inverse
+
+if TYPE_CHECKING:  # the Fock oracle needs SciPy; its builders import it on use
+    from .fock import TruncatedDensityMatrix
 
 __all__ = [
     "PureMatch",
@@ -100,6 +98,8 @@ def pure_match_vector(match: PureMatch, dim: int) -> np.ndarray:
 
 def pure_match_state(nu: float, freq: float, dim: int) -> TruncatedDensityMatrix:
     """Single-mode oracle state with moments (x=0, cov=nu*I) but zero entropy."""
+    from .fock import pure_state
+
     match = match_pure_state(nu)
     return pure_state(pure_match_vector(match, dim), [freq], dim)
 
@@ -108,6 +108,8 @@ def pure_match_two_mode(
     nu_a: float, nu_b: float, freqs, dim: int
 ) -> TruncatedDensityMatrix:
     """Product of pure matches: moments of diag(nu_a,nu_a,nu_b,nu_b), entropy 0."""
+    from .fock import pure_state
+
     va = pure_match_vector(match_pure_state(nu_a), dim)
     vb = pure_match_vector(match_pure_state(nu_b), dim)
     return pure_state(np.kron(va, vb), freqs, dim)
@@ -120,6 +122,8 @@ def pure_match_for_state(state: MomentState, dim: int) -> TruncatedDensityMatrix
     are first rotated to a product by the energy-preserving beam splitter,
     matched mode by mode, then un-rotated in the oracle.
     """
+    from .fock import apply_gaussian_unitary
+
     verdict = is_gaussian_passive(state)
     if not verdict.passive:
         raise ValidationError(
@@ -140,6 +144,31 @@ def pure_match_for_state(state: MomentState, dim: int) -> TruncatedDensityMatrix
     return apply_gaussian_unitary(inverse(splitter), rho)
 
 
+def _bisect(f, lo: float, hi: float) -> float:
+    """Root of f in [lo, hi], where f(lo) and f(hi) do not share a sign.
+
+    An endpoint where f is exactly zero is returned as it is.  Otherwise the
+    bracket is halved until hi - lo <= 4*eps*|mid|, or until the midpoint
+    rounds onto an endpoint.
+    """
+    f_lo = f(lo)
+    if f_lo == 0.0:
+        return lo
+    if f(hi) == 0.0:
+        return hi
+    while True:
+        mid = 0.5 * (lo + hi)
+        if hi - lo <= 4.0 * sys.float_info.epsilon * abs(mid) or mid in (lo, hi):
+            return mid
+        f_mid = f(mid)
+        if f_mid == 0.0:
+            return mid
+        if (f_mid > 0.0) == (f_lo > 0.0):
+            lo = mid
+        else:
+            hi = mid
+
+
 def thermal_beta_for_entropy(entropy: float, freq: float = 1.0) -> float:
     """Inverse temperature of the single-mode thermal state with this entropy."""
     if entropy < 0:
@@ -157,7 +186,7 @@ def thermal_beta_for_entropy(entropy: float, freq: float = 1.0) -> float:
         hi *= 2.0
         if hi > 1e30:
             raise ValidationError(f"entropy {entropy} out of solvable range")
-    occ = brentq(lambda m: occupation_entropy(m) - entropy, lo, hi, xtol=1e-15)
+    occ = _bisect(lambda m: occupation_entropy(m) - entropy, lo, hi)
     return math.log1p(1.0 / occ) / freq
 
 
@@ -195,6 +224,8 @@ def fixed_entropy_state(
     raise the mean occupation to (nu-1)/2.  Entropy is exactly preserved
     because the rotation is unitary.
     """
+    from .fock import density_matrix
+
     if nu_target < 1.0 - 1e-12:
         raise ValidationError(f"target eigenvalue {nu_target} below vacuum")
     beta = thermal_beta_for_entropy(entropy, freq)
@@ -282,9 +313,7 @@ def _min_energy_at_entropy(freqs: np.ndarray, entropy: float) -> float:
         hi *= 2.0
         if hi > 1e280:
             raise ValidationError(f"entropy {entropy} out of solvable range")
-    lo /= 2.0  # widen so the bracket is strict even if one loop never ran
-    hi *= 2.0
-    beta = brentq(lambda b: total_entropy(b) - entropy, lo, hi, xtol=1e-15)
+    beta = _bisect(lambda b: total_entropy(b) - entropy, lo, hi)
     return sum(w / math.expm1(beta * w) for w in freqs)
 
 

@@ -137,6 +137,25 @@ def test_spectrum_output(capsys, misordered_file):
     assert payload["entropy"] > 0
 
 
+@pytest.mark.parametrize(
+    "cov, message",
+    [
+        # Γ[0][2] = 5 but Γ[2][0] = 0
+        (np.eye(4) + np.diag([5.0, 0.0], k=2), "covariance not symmetric"),
+        (np.diag([1.0, 1.0, 2.0, -0.5]), "covariance not positive definite"),
+    ],
+    ids=["asymmetric", "indefinite"],
+)
+def test_spectrum_rejects_invalid_state(capsys, tmp_path, cov, message):
+    path = write_state(tmp_path / "bad.json", [1.0, 2.0], cov)
+    _, report, _ = run_json(capsys, ["validate", path])
+    code, payload, err = run_json(capsys, ["spectrum", path])
+    assert code == 1
+    assert payload is None
+    assert message in err
+    assert err == "error: " + "; ".join(report["violations"]) + "\n"
+
+
 # ---------------------------------------------------------------------------
 # extract
 
@@ -380,6 +399,16 @@ def test_help_and_bad_flags(capsys):
     capsys.readouterr()
 
 
+def _checkout_env():
+    """Environment for a fresh interpreter that imports this ``gausswork``."""
+    env = dict(os.environ)
+    package_parent = str(pathlib.Path(gausswork.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (package_parent, env.get("PYTHONPATH")) if p
+    )
+    return env
+
+
 # Runs a ``module:attr`` entry point the way an installed console script does.
 _SCRIPT_LAUNCHER = """\
 import importlib, sys
@@ -399,12 +428,7 @@ def test_console_script_smoke(tmp_path):
     path = write_state(
         tmp_path / "vac.json", [1.0, 2.0], np.eye(4)
     )
-    package_parent = str(pathlib.Path(gausswork.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (package_parent, env.get("PYTHONPATH")) if p
-    )
-    runs = [([sys.executable, "-c", _SCRIPT_LAUNCHER, module, attr], env)]
+    runs = [([sys.executable, "-c", _SCRIPT_LAUNCHER, module, attr], _checkout_env())]
     exe = shutil.which("gausswork")
     if exe is not None:
         runs.append(([exe], None))
@@ -414,6 +438,63 @@ def test_console_script_smoke(tmp_path):
         )
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)["valid"] is True
+
+
+# Runs ``main`` on each argv in one fresh interpreter and records, after the
+# package import and after every verb, which SciPy modules are loaded.
+_SCIPY_PROBE = """\
+import json, sys
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+import gausswork
+from gausswork.cli import main
+
+record = {"import": scipy_modules(), "verbs": []}
+for argv in json.loads(sys.argv[1]):
+    record["verbs"].append([argv, main(argv), scipy_modules()])
+record["unresolved"] = [n for n in gausswork.__all__ if not hasattr(gausswork, n)]
+record["same_object"] = gausswork.moments_of is gausswork.fock.moments_of
+with open(sys.argv[2], "w") as fh:
+    json.dump(record, fh)
+"""
+
+
+def test_moment_verbs_start_without_scipy(tmp_path, squeezed_file):
+    # The test process has SciPy loaded already, so the verbs run elsewhere.
+    thermal = MomentState(
+        freqs=[1.0, 2.0, 3.0], x=np.zeros(6), cov=np.diag(np.repeat([1.2, 2.0, 3.0], 2))
+    )
+    three = apply(two_mode_squeeze(0.5, (0, 2), 3), thermal)
+    three_file = write_state(tmp_path / "three.json", three.freqs, three.cov)
+    moment_verbs = [
+        ["validate", squeezed_file],
+        ["check", squeezed_file],
+        ["spectrum", squeezed_file],
+        ["extract", squeezed_file],
+        ["extract", three_file, "--nmode"],
+        ["gap", squeezed_file],
+        ["witness", "--ta", "1.0", "--tb", "2.0"],
+    ]
+    oracle = ["oracle-verify", squeezed_file, "--starts", "2"]
+    out = tmp_path / "record.json"
+    argv_list = json.dumps(moment_verbs + [oracle])
+    proc = subprocess.run(
+        [sys.executable, "-c", _SCIPY_PROBE, argv_list, str(out)],
+        capture_output=True, text=True, env=_checkout_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    record = json.loads(out.read_text())
+    assert record["import"] == []
+    for argv, code, loaded in record["verbs"][:-1]:
+        assert code == 0, argv
+        assert loaded == [], argv
+    argv, code, loaded = record["verbs"][-1]
+    assert code == 0
+    assert "scipy" in loaded
+    assert record["unresolved"] == []
+    assert record["same_object"] is True
 
 
 def test_state_file_round_trip(tmp_path):

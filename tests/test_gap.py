@@ -29,6 +29,7 @@ from gausswork import (
     thermal_swap_witness,
 )
 from gausswork.fock import _population_diagonal
+from gausswork.gap import _min_energy_at_entropy
 
 LN2 = math.log(2.0)
 
@@ -134,6 +135,19 @@ def test_thermal_beta_round_trip():
         assert abs(got - beta) < 1e-10 * beta
 
 
+def test_min_energy_at_entropy_round_trip():
+    # The least energy at the entropy of a common-temperature thermal product
+    # is that product's own energy.
+    rng = np.random.default_rng(809)
+    for _ in range(60):
+        freqs = rng.uniform(0.3, 4.0, rng.integers(1, 6))
+        beta = rng.uniform(0.05, 5.0)
+        entropy = sum(occupation_entropy(1.0 / math.expm1(beta * w)) for w in freqs)
+        energy = sum(w / math.expm1(beta * w) for w in freqs)
+        got = _min_energy_at_entropy(freqs, entropy)
+        assert abs(got - energy) <= 1e-10 * energy
+
+
 def test_fixed_entropy_construction_values():
     c = fixed_entropy_state(5.0, 2.0 * LN2)
     assert c.level == 3
@@ -219,6 +233,14 @@ def test_gap_for_isotropic_covariance():
     assert report.gaussian_extractable == 0.0
     assert np.isclose(report.gap, 0.23724957791753187, atol=1e-9)
     assert np.isclose(report.gap, report.total_extractable, atol=1e-15)
+
+
+def test_gap_at_a_tiny_prescribed_entropy():
+    # The entropy floor's bracket must stay where expm1(beta * w) is finite.
+    st = MomentState(freqs=[1.0, 2.0], x=np.zeros(4), cov=3.0 * np.eye(4))
+    report = ergotropy_gap(st, entropy=1e-100)
+    assert report.entropy == 1e-100
+    assert report.total_extractable == report.initial_energy
 
 
 def test_gap_single_mode_path():
