@@ -34,7 +34,6 @@ from .extraction import (
     MAX_ITERS,
     all_pairs_gaussian_passive,
     gaussian_ergotropy,
-    is_gaussian_passive,
     minimal_gaussian_energy,
     nmode_gaussian_ergotropy,
 )
@@ -74,10 +73,7 @@ def cmd_validate(args) -> int:
 def cmd_check(args) -> int:
     state = load_state(args.path)
     require_valid(state)
-    if state.n_modes == 2:
-        verdict = is_gaussian_passive(state, args.tol)
-    else:
-        verdict = all_pairs_gaussian_passive(state, args.tol)
+    verdict = all_pairs_gaussian_passive(state, args.tol)
     _emit_json(verdict_to_dict(verdict))
     return 0
 

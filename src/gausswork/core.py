@@ -155,6 +155,8 @@ def occupation_entropy(mean_occupation: float) -> float:
         raise ValidationError(f"mean occupation {m} is negative")
     if m == 0:
         return 0.0
+    if m >= 1.0:  # the same function, without the cancellation at high m
+        return math.log1p(m) + m * math.log1p(1.0 / m)
     return (m + 1.0) * math.log(m + 1.0) - m * math.log(m)
 
 

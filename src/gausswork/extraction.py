@@ -11,6 +11,7 @@ least mean energy any Gaussian operation can reach.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 import warnings
 
@@ -21,6 +22,7 @@ from .core import (
     MomentState,
     mean_energy,
     require_valid,
+    symplectic_form,
     symplectic_spectrum,
 )
 from .exceptions import ConvergenceError, OptimalityWarning, ValidationError
@@ -83,109 +85,95 @@ def _cross_block(cov: np.ndarray, i: int, j: int) -> np.ndarray:
     return cov[2 * i : 2 * i + 2, 2 * j : 2 * j + 2]
 
 
-def is_gaussian_passive(state: MomentState, tol: float = DEFAULT_TOL) -> PassivityVerdict:
-    """Decide whether any Gaussian operation can lower this two-mode state's energy.
+def _passivity(freqs: np.ndarray, x: np.ndarray, cov: np.ndarray, tol: float) -> PassivityVerdict:
+    """Gaussian passivity of the moments (x, cov) of modes with these frequencies.
 
-    Passive states have vanishing first moments and either (i) a diagonal
-    covariance diag(nu_a, nu_a, nu_b, nu_b) with the larger eigenvalue on
-    the lower-frequency mode, or (ii) equal frequencies and a standard-form
-    covariance whose off-diagonal block is proportional to the identity.
+    Passive states have vanishing first moments, no covariance between modes
+    of different frequency, and, within each group of equal frequency, a
+    block commuting with Omega (local blocks nu*1, couplings c*1 + d*Omega);
+    the eigenvalues of each group are at least those of every group of
+    higher frequency.  Clause "i" is the Williamson-diagonal case, clause
+    "ii" the one with couplings inside an equal-frequency group.
     """
+    n = freqs.size
+    violations = []
+    x_resid = float(np.max(np.abs(x)))
+    residuals = {"first_moments": x_resid}
+    if x_resid > tol:
+        violations.append("nonzero first moments")
+
+    diag = np.diagonal(cov)
+    v = 0.5 * (diag[0::2] + diag[1::2])
+    target = np.diag(np.repeat(v, 2))
+    resid_w = float(np.max(np.abs(cov - target)))
+    residuals["williamson"] = resid_w
+
+    groups: list[list[int]] = []  # equal frequencies (relative 1e-12), ascending
+    for m in np.argsort(freqs, kind="stable").tolist():
+        if groups and freqs[m] - freqs[groups[-1][0]] <= 1e-12 * freqs[m]:
+            groups[-1].append(m)
+        else:
+            groups.append([m])
+    form = []
+    if resid_w > tol:
+        loose = resid_w
+        if len(groups) < n:
+            same = np.zeros((n, n), dtype=bool)
+            for g in groups:
+                same[np.ix_(g, g)] = True
+            np.fill_diagonal(same, False)
+            # cross blocks between distinct modes of one frequency group
+            coupled = np.kron(same, np.ones((2, 2), dtype=bool))
+            omega = symplectic_form(n)
+            target = target + np.where(coupled, 0.5 * (cov - omega @ cov @ omega), 0.0)
+            dev = np.abs(cov - target)
+            residuals["standard_form"] = float(np.max(dev))
+            if np.max(dev[coupled]) > tol:
+                form.append("off-diagonal block not proportional to identity")
+            loose = float(np.max(dev[~coupled]))
+        if loose > tol:
+            form.append("covariance not in Williamson form")
+    violations += form
+
+    if not form:
+        spans = []  # least and largest eigenvalue of each group
+        for g in groups:
+            q = [k for m in g for k in (2 * m, 2 * m + 1)]
+            nus = v[g] if len(g) == 1 else np.linalg.eigvalsh(target[np.ix_(q, q)])
+            spans.append((nus.min(), nus.max()))
+        ordering = []
+        for a, b in itertools.combinations(range(len(groups)), 2):
+            if spans[a][0] < spans[b][1] - tol:
+                ordering.append(float(spans[b][1] - spans[a][0]))
+                modes = sorted(groups[a] + groups[b])
+                where = "" if len(modes) == n else f"modes ({','.join(map(str, modes))}): "
+                violations.append(where + "spectrum ordering violates frequency ordering")
+        if ordering:
+            residuals["ordering"] = max(ordering)
+
+    passive = not violations
+    return PassivityVerdict(
+        passive=passive,
+        clause=("i" if resid_w <= tol else "ii") if passive else None,
+        violations=tuple(violations),
+        residuals=residuals,
+    )
+
+
+def is_gaussian_passive(state: MomentState, tol: float = DEFAULT_TOL) -> PassivityVerdict:
+    """Decide whether any Gaussian operation can lower this two-mode state's energy."""
     if state.n_modes != 2:
         raise ValidationError(
             "is_gaussian_passive handles two modes; use all_pairs_gaussian_passive"
         )
-    violations = []
-    residuals = {}
-    x_resid = float(np.max(np.abs(state.x)))
-    residuals["first_moments"] = x_resid
-    if x_resid > tol:
-        violations.append("nonzero first moments")
-
-    cov = state.cov
-    wa, wb = state.freqs
-    va = 0.5 * (cov[0, 0] + cov[1, 1])
-    vb = 0.5 * (cov[2, 2] + cov[3, 3])
-    williamson = np.diag([va, va, vb, vb])
-    resid_w = float(np.max(np.abs(cov - williamson)))
-    residuals["williamson"] = resid_w
-
-    equal_freqs = abs(wa - wb) <= 1e-12 * max(wa, wb)
-    clause = None
-    if resid_w <= tol:
-        clause = "i"
-        if wa < wb and va < vb - tol:
-            violations.append("spectrum ordering violates frequency ordering")
-            residuals["ordering"] = float(vb - va)
-            clause = None
-        elif wa > wb and vb < va - tol:
-            violations.append("spectrum ordering violates frequency ordering")
-            residuals["ordering"] = float(va - vb)
-            clause = None
-    elif equal_freqs:
-        c = 0.5 * (cov[0, 2] + cov[1, 3])
-        standard = np.array(
-            [
-                [va, 0.0, c, 0.0],
-                [0.0, va, 0.0, c],
-                [c, 0.0, vb, 0.0],
-                [0.0, c, 0.0, vb],
-            ]
-        )
-        resid_ii = float(np.max(np.abs(cov - standard)))
-        residuals["standard_form"] = resid_ii
-        if resid_ii <= tol:
-            clause = "ii"
-        else:
-            violations.append("off-diagonal block not proportional to identity")
-    else:
-        violations.append("covariance not in Williamson form")
-
-    passive = not violations and clause is not None
-    return PassivityVerdict(
-        passive=passive,
-        clause=clause if passive else None,
-        violations=tuple(violations),
-        residuals=residuals,
-    )
+    return _passivity(state.freqs, state.x, state.cov, tol)
 
 
 def all_pairs_gaussian_passive(state: MomentState, tol: float = DEFAULT_TOL) -> PassivityVerdict:
-    """N-mode passivity through every two-mode marginal being passive."""
+    """Gaussian passivity of a state of two or more modes, from the whole covariance."""
     if state.n_modes < 2:
         raise ValidationError("need at least two modes")
-    x_resid = float(np.max(np.abs(state.x)))
-    violations = []
-    residuals = {"first_moments": x_resid}
-    if x_resid > tol:
-        violations.append("nonzero first moments")
-    worst = 0.0
-    for i in range(state.n_modes):
-        for j in range(i + 1, state.n_modes):
-            marg = _pair_marginal(state, i, j)
-            verdict = is_gaussian_passive(marg, tol)
-            worst = max(worst, verdict.residuals.get("williamson", 0.0))
-            if not verdict.passive and any(
-                v != "nonzero first moments" for v in verdict.violations
-            ):
-                violations.append(f"modes ({i},{j}): " + "; ".join(verdict.violations))
-    residuals["worst_pair"] = worst
-    passive = not violations
-    return PassivityVerdict(
-        passive=passive,
-        clause="i" if passive else None,
-        violations=tuple(violations),
-        residuals=residuals,
-    )
-
-
-def _pair_marginal(state: MomentState, i: int, j: int) -> MomentState:
-    idx = np.array([2 * i, 2 * i + 1, 2 * j, 2 * j + 1])
-    return MomentState(
-        freqs=state.freqs[[i, j]],
-        x=state.x[idx],
-        cov=state.cov[np.ix_(idx, idx)],
-    )
+    return _passivity(state.freqs, state.x, state.cov, tol)
 
 
 def tms_parameter(a: float, b: float, c1: float, c2: float) -> float:
@@ -353,10 +341,7 @@ def _finish_report(
             OptimalityWarning,
             stacklevel=3,
         )
-    if state.n_modes == 2:
-        certificate = is_gaussian_passive(state, passivity_tol)
-    else:
-        certificate = all_pairs_gaussian_passive(state, passivity_tol)
+    certificate = all_pairs_gaussian_passive(state, passivity_tol)
     return ExtractionReport(
         initial_energy=initial_energy,
         final_energy=final_energy,
@@ -421,8 +406,9 @@ def nmode_gaussian_ergotropy(
     """Gaussian work extraction on N modes by pairwise sweeps on the joint state.
 
     Lexicographic mode pairs are processed with the two-mode pipeline
-    (embedded in the full system) until no pair's marginal can be improved;
-    for two modes this reduces to gaussian_ergotropy.
+    (embedded in the full system) until the whole state is passive or a
+    sweep stops lowering the energy; for two modes this reduces to
+    gaussian_ergotropy.
     """
     if state.n_modes < 2:
         raise ValidationError("nmode_gaussian_ergotropy expects at least two modes")
@@ -438,17 +424,23 @@ def nmode_gaussian_ergotropy(
     sweeps = 0
     for _ in range(max_sweeps):
         sweeps += 1
+        if all_pairs_gaussian_passive(state, passivity_tol).passive:
+            break
         energy_before = mean_energy(state)
-        ran_any = False
+        regrouped = False
         for i in range(n):
             for j in range(i + 1, n):
-                marginal = _pair_marginal(state, i, j)
-                if is_gaussian_passive(marginal, passivity_tol).passive:
+                idx = [2 * i, 2 * i + 1, 2 * j, 2 * j + 1]
+                pair = _passivity(
+                    state.freqs[[i, j]], state.x[idx], state.cov[np.ix_(idx, idx)], passivity_tol
+                )
+                if pair.clause == "i":
                     continue
-                ran_any = True
+                # a coupled equal-frequency pair is passive on its own, but
+                # splitting it (at no energy cost) can expose a misordering
+                regrouped = regrouped or pair.passive
                 state = _pair_extract(state, i, j, steps, tol, max_iters)
-        improvement = energy_before - mean_energy(state)
-        if not ran_any or improvement <= tol:
+        if energy_before - mean_energy(state) <= tol and not regrouped:
             break
     else:
         raise ConvergenceError(

@@ -36,7 +36,7 @@ from .extraction import (
     minimal_gaussian_energy,
     nmode_gaussian_ergotropy,
 )
-from .ops import apply, beam_splitter, inverse
+from .ops import apply, beam_splitter, inverse, rotation
 
 if TYPE_CHECKING:  # the Fock oracle needs SciPy; its builders import it on use
     from .fock import TruncatedDensityMatrix
@@ -118,9 +118,11 @@ def pure_match_two_mode(
 def pure_match_for_state(state: MomentState, dim: int) -> TruncatedDensityMatrix:
     """Zero-entropy oracle state with the moments of a Gaussian-passive pair.
 
-    Covariances with correlated blocks (the equal-frequency passive case)
-    are first rotated to a product by the energy-preserving beam splitter,
-    matched mode by mode, then un-rotated in the oracle.
+    Covariances with correlated blocks (the equal-frequency passive case,
+    cross block c*1 + d*Omega) are first brought to a product by an
+    energy-preserving rotation of mode 1, which turns the cross block into
+    hypot(c, d)*1, and a beam splitter; the product is matched mode by mode,
+    then un-rotated in the oracle.
     """
     from .fock import apply_gaussian_unitary
 
@@ -132,16 +134,19 @@ def pure_match_for_state(state: MomentState, dim: int) -> TruncatedDensityMatrix
         )
     cov = state.cov
     c = 0.5 * (cov[0, 2] + cov[1, 3])
-    if abs(c) <= 1e-12:
+    d = 0.5 * (cov[0, 3] - cov[1, 2])
+    coupling = math.hypot(c, d)
+    if coupling <= 1e-12:
         return pure_match_two_mode(cov[0, 0], cov[2, 2], state.freqs, dim)
     a_t = 0.5 * (cov[0, 0] + cov[1, 1])
     b_t = 0.5 * (cov[2, 2] + cov[3, 3])
-    splitter = beam_splitter(bs_angle(a_t, b_t, c), (0, 1), 2)
-    rotated = apply(splitter, state)
+    turn = rotation(math.atan2(d, c), 1, 2)
+    splitter = beam_splitter(bs_angle(a_t, b_t, coupling), (0, 1), 2)
+    rotated = apply(splitter, apply(turn, state))
     rho = pure_match_two_mode(
         rotated.cov[0, 0], rotated.cov[2, 2], state.freqs, dim
     )
-    return apply_gaussian_unitary(inverse(splitter), rho)
+    return apply_gaussian_unitary(inverse(turn), apply_gaussian_unitary(inverse(splitter), rho))
 
 
 def _bisect(f, lo: float, hi: float) -> float:
@@ -301,8 +306,11 @@ def _min_energy_at_entropy(freqs: np.ndarray, entropy: float) -> float:
     if entropy == 0:
         return 0.0
 
+    def occupation(x):  # 1 / (e^x - 1), without overflow at large x
+        return math.exp(-x) / -math.expm1(-x)
+
     def total_entropy(beta):
-        return sum(occupation_entropy(1.0 / math.expm1(beta * w)) for w in freqs)
+        return sum(occupation_entropy(occupation(beta * w)) for w in freqs)
 
     lo, hi = 1.0, 1.0
     while total_entropy(lo) < entropy:
@@ -314,7 +322,7 @@ def _min_energy_at_entropy(freqs: np.ndarray, entropy: float) -> float:
         if hi > 1e280:
             raise ValidationError(f"entropy {entropy} out of solvable range")
     beta = _bisect(lambda b: total_entropy(b) - entropy, lo, hi)
-    return sum(w / math.expm1(beta * w) for w in freqs)
+    return sum(w * occupation(beta * w) for w in freqs)
 
 
 def ergotropy_gap(

@@ -137,6 +137,15 @@ def test_spectrum_output(capsys, misordered_file):
     assert payload["entropy"] > 0
 
 
+def test_spectrum_entropy_at_high_occupation(capsys, tmp_path):
+    path = write_state(tmp_path / "hot.json", [1.0], 1e17 * np.eye(2))
+    code, payload, _ = run_json(capsys, ["spectrum", path])
+    assert code == 0
+    # ln(m) + 1 + O(1/m) at occupation m = (1e17 - 1) / 2
+    assert payload["entropy"] == pytest.approx(math.log(5e16) + 1.0, rel=1e-12)
+    assert payload["entropy"] == pytest.approx(39.45, abs=0.01)
+
+
 @pytest.mark.parametrize(
     "cov, message",
     [
@@ -302,6 +311,16 @@ def test_gap_with_prescribed_entropy(capsys, squeezed_file):
     code, payload, _ = run_json(capsys, ["gap", squeezed_file, "--entropy", "0.0"])
     assert code == 0
     assert payload["entropy"] == 0.0
+
+
+def test_gap_at_tiny_entropy(capsys, tmp_path):
+    # the inverse-temperature bracket passes beta = 709, where e^beta overflows
+    path = write_state(tmp_path / "iso.json", [1.0, 2.0], 3.0 * np.eye(4))
+    code, payload, err = run_json(capsys, ["gap", path, "--entropy", "1e-300"])
+    assert code == 0, err
+    assert payload["entropy"] == 1e-300
+    assert 0.0 < payload["total_extractable"] <= payload["initial_energy"]
+    assert math.isfinite(payload["gap"])
 
 
 def test_witness_command(capsys):

@@ -211,6 +211,13 @@ def test_occupation_entropy_values():
         occupation_entropy(-0.1)
 
 
+def test_occupation_entropy_at_high_occupation():
+    # (m+1) ln(m+1) - m ln m at m = 5e8, from mpmath at 40 digits
+    assert occupation_entropy(5e8) == pytest.approx(21.03011865738646584607802, rel=1e-15)
+    assert occupation_entropy(5e16) == pytest.approx(math.log(5e16) + 1.0, rel=1e-15)
+    assert math.isfinite(occupation_entropy(5e-324)) and occupation_entropy(5e-324) > 0.0
+
+
 def test_gaussian_entropy_clamps_roundoff():
     assert gaussian_entropy(np.array([1.0 - 1e-12])) == 0.0
     with pytest.raises(ValidationError):

@@ -1,6 +1,7 @@
 """Passivity verdicts, standard-form reduction, and the extraction pipeline."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from gausswork import (
     ConvergenceError,
     MomentState,
+    OptimalityWarning,
     ValidationError,
     all_pairs_gaussian_passive,
     apply,
@@ -19,6 +21,7 @@ from gausswork import (
     minimal_gaussian_energy,
     nmode_gaussian_ergotropy,
     reduce_to_standard_form,
+    symplectic_spectrum,
     thermal_product_passivity,
     tms_parameter,
 )
@@ -154,6 +157,102 @@ def test_passivity_mode_count_contracts():
         )
     with pytest.raises(ValidationError):
         all_pairs_gaussian_passive(one)
+
+
+def test_rotated_equal_frequency_coupling_is_passive():
+    # the cross block is c*1 + d*Omega with d != 0; the energy is the floor
+    st = two_mode(np.diag([3.0, 3.0, 1.5, 1.5]))
+    st = apply(rotation(0.9, 1, 2), apply(beam_splitter(0.4), st))
+    assert mean_energy(st) == pytest.approx(1.25, abs=1e-12)
+    verdict = is_gaussian_passive(st)
+    assert verdict.passive
+    assert verdict.clause == "ii"
+    for extract in (gaussian_ergotropy, nmode_gaussian_ergotropy):
+        report = extract(st)
+        assert report.steps == ()
+        assert report.extracted_work == 0.0
+
+
+def test_coupled_group_below_a_higher_frequency_mode_is_active():
+    # every pair is passive on its own, but the coupled pair's eigenvalue 2
+    # lies below the 2.5 of the higher-frequency mode
+    eye, zero = np.eye(2), np.zeros((2, 2))
+    cov = np.block([[3 * eye, eye, zero], [eye, 3 * eye, zero], [zero, zero, 2.5 * eye]])
+    st = MomentState(freqs=[1.0, 1.0, 2.0], x=np.zeros(6), cov=cov)
+    assert np.allclose(symplectic_spectrum(cov), [4.0, 2.5, 2.0], atol=1e-12)
+    verdict = all_pairs_gaussian_passive(st)
+    assert not verdict.passive
+    assert "spectrum ordering violates frequency ordering" in verdict.violations
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", OptimalityWarning)
+        report = nmode_gaussian_ergotropy(st)
+    assert report.initial_energy == pytest.approx(3.5, abs=1e-12)
+    assert abs(report.final_energy - 3.25) <= 1e-8 * 3.25
+    assert report.certificate.passive
+
+
+def _corpus_state(rng, n_modes, defect):
+    """A state built from a passive one, with one defect or none.
+
+    Modes fall into equal-frequency groups of one to three modes, in shuffled
+    order.  The passive state is the Williamson diagonal with eigenvalues
+    descending against ascending frequency, mixed by random beam splitters
+    and rotations inside each group.
+    """
+    while True:
+        sizes = []
+        while sum(sizes) < n_modes:
+            sizes.append(int(rng.integers(1, min(3, n_modes - sum(sizes)) + 1)))
+        if len(sizes) > 1 or defect not in ("misorder", "coupling"):
+            break
+    group_freqs = np.cumsum(rng.uniform(0.3, 0.8, len(sizes)))
+    order = rng.permutation(n_modes)
+    groups = np.split(order, np.cumsum(sizes)[:-1])
+    freqs = np.empty(n_modes)
+    for g, w in zip(groups, group_freqs):
+        freqs[g] = w
+    nus = 1.0 + np.cumsum(rng.uniform(0.3, 1.5, n_modes))[::-1]
+    nu_of = np.empty(n_modes)
+    nu_of[order] = nus
+    if defect == "misorder":
+        a, b = rng.choice(len(groups), 2, replace=False)
+        i, j = rng.choice(groups[a]), rng.choice(groups[b])
+        nu_of[[i, j]] = nu_of[[j, i]]
+    st = MomentState(freqs=freqs, x=np.zeros(2 * n_modes), cov=np.diag(np.repeat(nu_of, 2)))
+    for g in groups:
+        for _ in range(2 * len(g) - 1):
+            if len(g) > 1:
+                i, j = rng.choice(g, 2, replace=False)
+                st = apply(beam_splitter(rng.uniform(-np.pi, np.pi), (i, j), n_modes), st)
+            st = apply(rotation(rng.uniform(-np.pi, np.pi), rng.choice(g), n_modes), st)
+    if defect == "coupling":
+        a, b = rng.choice(len(groups), 2, replace=False)
+        pair = (rng.choice(groups[a]), rng.choice(groups[b]))
+        st = apply(beam_splitter(rng.uniform(0.3, 1.2), pair, n_modes), st)
+    if defect == "displacement":
+        d = rng.normal(size=2 * n_modes)
+        st = apply(displacement(0.5 * d / np.linalg.norm(d)), st)
+    return st
+
+
+def test_verdict_matches_the_spectral_floor_on_grouped_corpus():
+    # passive exactly when x = 0 and the energy is at the spectral floor
+    rng = np.random.default_rng(20261018)
+    passive_seen = active_seen = 0
+    for n_modes in range(2, 7):
+        for trial in range(24):
+            defect = (None, "misorder", "coupling", "displacement")[trial % 4]
+            st = _corpus_state(rng, n_modes, defect)
+            floor = minimal_gaussian_energy(symplectic_spectrum(st.cov), st.freqs)
+            at_floor = mean_energy(st) - floor <= 1e-9 * max(1.0, floor)
+            truth = not np.any(st.x) and at_floor
+            verdict = all_pairs_gaussian_passive(st)
+            assert verdict.passive == truth, (n_modes, defect, verdict)
+            if n_modes == 2:
+                assert is_gaussian_passive(st).passive == truth
+            passive_seen += truth
+            active_seen += not truth
+    assert passive_seen >= 25 and active_seen >= 60
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,7 @@ from gausswork import (
 )
 from gausswork.fock import _population_diagonal
 from gausswork.gap import _min_energy_at_entropy
+from gausswork.ops import apply, beam_splitter, rotation
 
 LN2 = math.log(2.0)
 
@@ -104,6 +105,17 @@ def test_pure_match_for_product_passive_state():
     assert np.max(np.abs(got - st.cov)) < 1e-9
 
 
+def test_pure_match_for_rotated_coupling():
+    # cross block c*1 + d*Omega: a rotation of mode 1 must precede the splitter
+    st = MomentState(freqs=[1.0, 1.0], x=np.zeros(4), cov=np.diag([3.0, 3.0, 1.5, 1.5]))
+    st = apply(rotation(0.9, 1, 2), apply(beam_splitter(0.4), st))
+    rho = pure_match_for_state(st, 40)
+    x, got = moments_of(rho)
+    assert np.max(np.abs(x)) < 1e-9
+    assert np.max(np.abs(got - st.cov)) < 1e-9
+    assert entropy_of(rho) < 1e-9
+
+
 def test_pure_match_rejects_active_states():
     st = MomentState(
         freqs=[1.0, 2.0], x=np.zeros(4), cov=np.diag([1.5, 1.5, 3.0, 3.0])
@@ -123,6 +135,13 @@ def test_thermal_beta_values():
         thermal_beta_for_entropy(-0.1)
     with pytest.raises(ValidationError):
         thermal_beta_for_entropy(1.0, freq=0.0)
+
+
+def test_thermal_beta_at_high_entropy():
+    # the occupation is about 1.9e21, where the direct entropy formula reads 0
+    beta = thermal_beta_for_entropy(50.0)
+    assert 0.0 < beta < 1e-20
+    assert occupation_entropy(1.0 / math.expm1(beta)) == pytest.approx(50.0, rel=1e-12)
 
 
 def test_thermal_beta_round_trip():
