@@ -56,6 +56,17 @@ class MomentState:
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "cov", cov)
 
+    @classmethod
+    def _inherit(cls, parent: MomentState, x: np.ndarray, cov: np.ndarray) -> MomentState:
+        """Wrap moments derived from a validated state, sharing its frequencies.
+
+        The arrays are taken as they are: no copy, and no check of shapes or
+        frequencies, which the caller inherits from ``parent``.
+        """
+        state = object.__new__(cls)
+        state.__dict__.update(freqs=parent.freqs, x=x, cov=cov)
+        return state
+
     @property
     def n_modes(self) -> int:
         return self.freqs.size
@@ -112,14 +123,19 @@ def mean_energy(state: MomentState) -> float:
     r"""Mean energy \sum_i omega_i (<n_i> + 0) with the vacuum offset removed.
 
     Per mode the photon number is (Tr Gamma_i - 2)/4 + ||x_i||^2 / 2 in this
-    covariance convention.
+    covariance convention; the total is the in-order sum of mode_energy.
     """
     total = 0.0
-    for i, w in enumerate(state.freqs):
-        sl = slice(2 * i, 2 * i + 2)
-        tr = state.cov[2 * i, 2 * i] + state.cov[2 * i + 1, 2 * i + 1]
-        total += w * (0.25 * (tr - 2.0) + 0.5 * float(state.x[sl] @ state.x[sl]))
+    for i in range(state.n_modes):
+        total += mode_energy(state, i)
     return float(total)
+
+
+def mode_energy(state: MomentState, m: int) -> float:
+    """Mean energy of mode m alone, omega_m ((Tr Gamma_m - 2)/4 + ||x_m||^2 / 2)."""
+    xm = state.x[2 * m : 2 * m + 2]
+    tr = state.cov[2 * m, 2 * m] + state.cov[2 * m + 1, 2 * m + 1]
+    return state.freqs[m] * (0.25 * (tr - 2.0) + 0.5 * float(xm @ xm))
 
 
 def purity(state: MomentState) -> float:
@@ -157,7 +173,7 @@ def occupation_entropy(mean_occupation: float) -> float:
         return 0.0
     if m >= 1.0:  # the same function, without the cancellation at high m
         return math.log1p(m) + m * math.log1p(1.0 / m)
-    return (m + 1.0) * math.log(m + 1.0) - m * math.log(m)
+    return (m + 1.0) * math.log1p(m) - m * math.log(m)
 
 
 def gaussian_entropy(spectrum: np.ndarray, tol: float = DEFAULT_TOL) -> float:

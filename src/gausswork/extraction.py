@@ -21,6 +21,7 @@ from .core import (
     DEFAULT_TOL,
     MomentState,
     mean_energy,
+    mode_energy,
     require_valid,
     symplectic_form,
     symplectic_spectrum,
@@ -212,17 +213,35 @@ def minimal_gaussian_energy(spectrum, freqs) -> float:
     return float(np.sum(ws * (nus - 1.0) / 2.0))
 
 
-def _emit(steps: list, op: GaussianOp, stage: str, state: MomentState) -> MomentState:
-    state = apply(op, state)
-    steps.append(ProtocolStep(op=op, stage=stage, energy_after=mean_energy(state)))
-    return state
+class _Run:
+    """The steps emitted so far and the per-mode energies of the state they reach."""
+
+    def __init__(self, state: MomentState):
+        self.steps: list[ProtocolStep] = []
+        self.energies = [mode_energy(state, m) for m in range(state.n_modes)]
+
+    @property
+    def energy(self) -> float:
+        """The mean energy: the in-order sum of the per-mode terms, as mean_energy adds them."""
+        total = 0.0
+        for e in self.energies:
+            total += e
+        return float(total)
+
+    def emit(self, op: GaussianOp, stage: str, state: MomentState) -> MomentState:
+        """Apply op, record it, and refresh the energies of the modes it touches."""
+        state = apply(op, state)
+        for m in op.modes:
+            self.energies[m] = mode_energy(state, m)
+        self.steps.append(ProtocolStep(op=op, stage=stage, energy_after=self.energy))
+        return state
 
 
 def _reduce_pair(
     state: MomentState,
     i: int,
     j: int,
-    steps: list,
+    run: _Run,
     stage: str,
 ) -> tuple[MomentState, StandardFormParams]:
     """Bring the (i, j) blocks to standard form with local operations."""
@@ -234,7 +253,7 @@ def _reduce_pair(
             d1, d2 = block[0, 0], block[1, 1]
             if abs(d1 - d2) > 1e-13 * scale:
                 r = 0.25 * math.log(d1 / d2)
-                state = _emit(steps, squeeze(r, m, n), stage, state)
+                state = run.emit(squeeze(r, m, n), stage, state)
         else:
             lam, vec = np.linalg.eigh(block)
             if np.linalg.det(vec) < 0:
@@ -242,10 +261,10 @@ def _reduce_pair(
                 vec[:, 0] = -vec[:, 0]
             theta = math.atan2(vec[1, 0], vec[0, 0])
             if abs(theta) > _STEP_EPS:
-                state = _emit(steps, rotation(theta, m, n), stage, state)
+                state = run.emit(rotation(theta, m, n), stage, state)
             r = 0.25 * math.log(lam[0] / lam[1])
             if abs(r) > _STEP_EPS:
-                state = _emit(steps, squeeze(r, m, n), stage, state)
+                state = run.emit(squeeze(r, m, n), stage, state)
 
     cross = _cross_block(state.cov, i, j)
     off = max(abs(cross[0, 1]), abs(cross[1, 0]))
@@ -261,9 +280,9 @@ def _reduce_pair(
         theta_a = math.atan2(u[1, 0], u[0, 0])
         theta_b = math.atan2(v[1, 0], v[0, 0])
         if abs(theta_a) > _STEP_EPS:
-            state = _emit(steps, rotation(theta_a, i, n), stage, state)
+            state = run.emit(rotation(theta_a, i, n), stage, state)
         if abs(theta_b) > _STEP_EPS:
-            state = _emit(steps, rotation(theta_b, j, n), stage, state)
+            state = run.emit(rotation(theta_b, j, n), stage, state)
 
     cov = state.cov
     params = StandardFormParams(
@@ -287,16 +306,16 @@ def reduce_to_standard_form(
         raise ValidationError("standard-form reduction is for two-mode states")
     if float(np.max(np.abs(state.x))) > tol:
         raise ValidationError("first moments must vanish before local reduction")
-    steps: list[ProtocolStep] = []
-    state, params = _reduce_pair(state, 0, 1, steps, "P2-local")
-    return state, steps, params
+    run = _Run(state)
+    state, params = _reduce_pair(state, 0, 1, run, "P2-local")
+    return state, run.steps, params
 
 
 def _pair_extract(
     state: MomentState,
     i: int,
     j: int,
-    steps: list,
+    run: _Run,
     tol: float,
     max_iters: int,
 ) -> MomentState:
@@ -304,23 +323,23 @@ def _pair_extract(
     n = state.n_modes
     stage = "P2-local"
     for it in range(max_iters):
-        state, params = _reduce_pair(state, i, j, steps, stage)
+        state, params = _reduce_pair(state, i, j, run, stage)
         stage = "P3-realign"
         if abs(params.c1 - params.c2) <= tol:
             break
         r = tms_parameter(params.a, params.b, params.c1, params.c2)
-        state = _emit(steps, two_mode_squeeze(r, (i, j), n), "P3-tms", state)
+        state = run.emit(two_mode_squeeze(r, (i, j), n), "P3-tms", state)
     else:
         raise ConvergenceError(
             f"standard-form loop did not converge in {max_iters} iterations "
             f"(|c1 - c2| = {abs(params.c1 - params.c2):.3e})",
-            steps=steps,
+            steps=run.steps,
         )
     c = 0.5 * (params.c1 + params.c2)
     first_larger = state.freqs[i] <= state.freqs[j]
     theta = bs_angle(params.a, params.b, c, first_larger)
     if abs(theta) > _STEP_EPS:
-        state = _emit(steps, beam_splitter(theta, (i, j), n), "P4-beamsplit", state)
+        state = run.emit(beam_splitter(theta, (i, j), n), "P4-beamsplit", state)
     return state
 
 
@@ -389,11 +408,11 @@ def gaussian_ergotropy(
             sweeps=None,
         )
 
-    steps: list[ProtocolStep] = []
+    run = _Run(state)
     if float(np.max(np.abs(state.x))) > _STEP_EPS:
-        state = _emit(steps, displacement(-state.x), "P1-displace", state)
-    state = _pair_extract(state, 0, 1, steps, tol, max_iters)
-    return _finish_report(initial_energy, steps, state, spectrum, passivity_tol, None)
+        state = run.emit(displacement(-state.x), "P1-displace", state)
+    state = _pair_extract(state, 0, 1, run, tol, max_iters)
+    return _finish_report(initial_energy, run.steps, state, spectrum, passivity_tol, None)
 
 
 def nmode_gaussian_ergotropy(
@@ -416,9 +435,9 @@ def nmode_gaussian_ergotropy(
     initial_energy = mean_energy(state)
     spectrum = symplectic_spectrum(state.cov)
 
-    steps: list[ProtocolStep] = []
+    run = _Run(state)
     if float(np.max(np.abs(state.x))) > _STEP_EPS:
-        state = _emit(steps, displacement(-state.x), "P1-displace", state)
+        state = run.emit(displacement(-state.x), "P1-displace", state)
 
     n = state.n_modes
     sweeps = 0
@@ -426,7 +445,7 @@ def nmode_gaussian_ergotropy(
         sweeps += 1
         if all_pairs_gaussian_passive(state, passivity_tol).passive:
             break
-        energy_before = mean_energy(state)
+        energy_before = run.energy
         regrouped = False
         for i in range(n):
             for j in range(i + 1, n):
@@ -439,15 +458,15 @@ def nmode_gaussian_ergotropy(
                 # a coupled equal-frequency pair is passive on its own, but
                 # splitting it (at no energy cost) can expose a misordering
                 regrouped = regrouped or pair.passive
-                state = _pair_extract(state, i, j, steps, tol, max_iters)
-        if energy_before - mean_energy(state) <= tol and not regrouped:
+                state = _pair_extract(state, i, j, run, tol, max_iters)
+        if energy_before - run.energy <= tol and not regrouped:
             break
     else:
         raise ConvergenceError(
             f"pairwise sweeps did not reach a fixed point in {max_sweeps} sweeps",
-            steps=steps,
+            steps=run.steps,
         )
-    return _finish_report(initial_energy, steps, state, spectrum, passivity_tol, sweeps)
+    return _finish_report(initial_energy, run.steps, state, spectrum, passivity_tol, sweeps)
 
 
 def thermal_product_passivity(

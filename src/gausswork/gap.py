@@ -182,17 +182,21 @@ def thermal_beta_for_entropy(entropy: float, freq: float = 1.0) -> float:
         raise ValidationError("frequency must be positive")
     if entropy == 0:
         return math.inf
+    least = math.ulp(0.0)  # the least positive float
     lo, hi = 1e-12, 1.0
     while occupation_entropy(lo) > entropy:
-        lo /= 100.0
-        if lo < 1e-280:
+        if lo == least:
             raise ValidationError(f"entropy {entropy} out of solvable range")
+        lo = max(lo / 100.0, least)
     while occupation_entropy(hi) < entropy:
         hi *= 2.0
         if hi > 1e30:
             raise ValidationError(f"entropy {entropy} out of solvable range")
     occ = _bisect(lambda m: occupation_entropy(m) - entropy, lo, hi)
-    return math.log1p(1.0 / occ) / freq
+    # beta * freq = ln(1 + 1/occ), written so that 1/occ cannot overflow
+    if occ >= 1.0:
+        return math.log1p(1.0 / occ) / freq
+    return (math.log1p(occ) - math.log(occ)) / freq
 
 
 def _thermal_populations(beta: float, freq: float, dim: int) -> np.ndarray:

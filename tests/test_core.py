@@ -218,6 +218,12 @@ def test_occupation_entropy_at_high_occupation():
     assert math.isfinite(occupation_entropy(5e-324)) and occupation_entropy(5e-324) > 0.0
 
 
+def test_occupation_entropy_at_small_occupation():
+    # (m+1) ln(m+1) - m ln m from mpmath at 50 digits; ln(m+1) must not round m + 1
+    assert occupation_entropy(1e-16) == pytest.approx(3.784136148790473e-15, rel=1e-14, abs=0.0)
+    assert occupation_entropy(1e-20) == pytest.approx(4.705170185988092e-19, rel=1e-14, abs=0.0)
+
+
 def test_gaussian_entropy_clamps_roundoff():
     assert gaussian_entropy(np.array([1.0 - 1e-12])) == 0.0
     with pytest.raises(ValidationError):

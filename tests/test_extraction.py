@@ -423,6 +423,22 @@ def test_extraction_property_loop():
         )
 
 
+def test_step_energies_match_a_full_replay():
+    # energy_after comes from the modes each step touches; replaying the
+    # protocol from the input must give the same energies summed in full
+    rng = np.random.default_rng(2024)
+    for n_modes, count in ((2, 20), (4, 10)):
+        for _ in range(count):
+            st, _ = random_active_state(rng, n_modes)
+            report = (gaussian_ergotropy if n_modes == 2 else nmode_gaussian_ergotropy)(st)
+            assert report.steps
+            replayed = st
+            for step in report.steps:
+                replayed = apply(step.op, replayed)
+                assert step.energy_after == pytest.approx(mean_energy(replayed), rel=1e-12, abs=0.0)
+            assert report.final_energy == report.steps[-1].energy_after
+
+
 def test_three_mode_sweeps_reach_floor():
     st = MomentState(
         freqs=[1.0, 2.0, 3.0],

@@ -154,6 +154,21 @@ def test_thermal_beta_round_trip():
         assert abs(got - beta) < 1e-10 * beta
 
 
+def test_thermal_beta_at_tiny_entropy():
+    # occupations near 1e-303 and 1e-16, below the old bracket and where
+    # the old (m+1) ln(m+1) rounded m + 1
+    for entropy in (1e-300, occupation_entropy(1e-16)):
+        beta = thermal_beta_for_entropy(entropy)
+        assert occupation_entropy(1.0 / math.expm1(beta)) == pytest.approx(entropy, rel=1e-12, abs=0.0)
+    assert thermal_beta_for_entropy(occupation_entropy(1e-16)) == pytest.approx(
+        math.log1p(1e16), rel=1e-12, abs=0.0
+    )
+    construction = fixed_entropy_state(3.0, 1e-300)
+    assert entropy_of(construction.state) < 1e-12
+    with pytest.raises(ValidationError):
+        thermal_beta_for_entropy(1e-322)  # below the entropy of the least positive occupation
+
+
 def test_min_energy_at_entropy_round_trip():
     # The least energy at the entropy of a common-temperature thermal product
     # is that product's own energy.

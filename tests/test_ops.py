@@ -18,6 +18,7 @@ from gausswork import (
     op_from_label,
     rotation,
     squeeze,
+    thermal_state,
     two_mode_squeeze,
 )
 from gausswork.ops import describe
@@ -116,7 +117,9 @@ _AFFINE_CASES = {
     "rotation": rotation(0.9, 3, 5),
     "squeeze": squeeze(-0.7, 1, 5),
     "two_mode_squeeze": two_mode_squeeze(0.4, (3, 1), 5),
+    "two_mode_squeeze_adjacent": two_mode_squeeze(0.4, (1, 2), 5),
     "beam_splitter": beam_splitter(1.1, (4, 0), 5),
+    "beam_splitter_reversed": beam_splitter(1.1, (1, 0), 5),
     "displacement": displacement(np.linspace(-1.0, 1.0, 10)),
     "compose": compose(
         [two_mode_squeeze(0.4, (3, 1), 5), rotation(0.9, 0, 5), beam_splitter(1.1, (0, 3), 5)]
@@ -135,7 +138,9 @@ def test_apply_affine_law(name):
     rng = np.random.default_rng(5)
     a = 0.5 * rng.normal(size=(10, 10))
     st = MomentState(freqs=np.linspace(1.0, 3.0, 5), x=rng.normal(size=10), cov=np.eye(10) + a @ a.T)
+    x0, cov0 = st.x.copy(), st.cov.copy()
     out = apply(op, st)
+    assert np.array_equal(st.x, x0) and np.array_equal(st.cov, cov0)
     np.testing.assert_allclose(out.x, op.S @ st.x + op.d, rtol=0.0, atol=1e-14)
     np.testing.assert_allclose(out.cov, op.S @ st.cov @ op.S.T, rtol=0.0, atol=1e-14)
     assert np.array_equal(out.freqs, st.freqs)
@@ -148,6 +153,14 @@ def test_apply_rejects_mode_mismatch():
     st = MomentState(freqs=[1.0], x=[0.0, 0.0], cov=np.eye(2))
     with pytest.raises(ValidationError):
         apply(beam_splitter(0.3), st)
+
+
+def test_apply_rejects_overflowing_moments():
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValidationError, match="must be finite"):
+            apply(squeeze(800.0), thermal_state([1.0], [0.0]))
+        with pytest.raises(ValidationError, match="must be finite"):
+            apply(two_mode_squeeze(800.0, (0, 2), 3), thermal_state([1.0, 2.0, 3.0], [0.5, 0.5, 0.5]))
 
 
 def test_compose_order_first_listed_acts_first():
