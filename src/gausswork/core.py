@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import sys
 
 import numpy as np
 
@@ -174,6 +175,32 @@ def occupation_entropy(mean_occupation: float) -> float:
     if m >= 1.0:  # the same function, without the cancellation at high m
         return math.log1p(m) + m * math.log1p(1.0 / m)
     return (m + 1.0) * math.log1p(m) - m * math.log(m)
+
+
+def _bisect(f, lo: float, hi: float) -> float:
+    """Root of f in [lo, hi], where f(lo) and f(hi) do not share a sign.
+
+    An endpoint where f is exactly zero is returned as it is.  Otherwise the
+    bracket is halved until hi - lo <= 4*eps*|mid|, or until the midpoint
+    rounds onto an endpoint.  The midpoint adds the halves of the endpoints,
+    which is exact for normal floats and stays finite up to the largest one.
+    """
+    f_lo = f(lo)
+    if f_lo == 0.0:
+        return lo
+    if f(hi) == 0.0:
+        return hi
+    while True:
+        mid = 0.5 * lo + 0.5 * hi
+        if hi - lo <= 4.0 * sys.float_info.epsilon * abs(mid) or mid in (lo, hi):
+            return mid
+        f_mid = f(mid)
+        if f_mid == 0.0:
+            return mid
+        if (f_mid > 0.0) == (f_lo > 0.0):
+            lo = mid
+        else:
+            hi = mid
 
 
 def gaussian_entropy(spectrum: np.ndarray, tol: float = DEFAULT_TOL) -> float:

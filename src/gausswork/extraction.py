@@ -1,11 +1,15 @@
 r"""Gaussian passivity verdicts and optimal Gaussian work extraction.
 
 The two-mode pipeline synthesizes an explicit protocol of elementary
-operations: zero the first moments, iterate local standard-form reduction
-against the optimal two-mode squeeze until the coupling block is isotropic,
-then split the modes apart with one beam splitter.  The endpoint carries
-the symplectic spectrum sorted against the mode frequencies, which is the
-least mean energy any Gaussian operation can reach.
+operations: zero the first moments, bring the pair to standard form, apply
+the two-mode squeeze after which local squeezes leave the coupling block
+isotropic, then split the modes apart with one beam splitter.  That squeeze
+is the root of an isotropy condition, bisected between 0 and twice the
+energy-optimal squeeze r*, where no squeeze raises the energy; when the
+root lies outside that bracket the pipeline takes r* and reduces again.
+The endpoint carries the symplectic spectrum sorted against the mode
+frequencies, which is the least mean energy any Gaussian operation can
+reach.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ import numpy as np
 from .core import (
     DEFAULT_TOL,
     MomentState,
+    _bisect,
     mean_energy,
     mode_energy,
     require_valid,
@@ -186,6 +191,40 @@ def tms_parameter(a: float, b: float, c1: float, c2: float) -> float:
     return -0.5 * math.atanh((c1 - c2) / (a + b))
 
 
+def _isotropy_squeeze(params: StandardFormParams) -> float:
+    """Two-mode squeeze after which local squeezes make the coupling isotropic.
+
+    From standard form (a*1, b*1, diag(c1, c2)) a squeeze r keeps every block
+    diagonal: with C = cosh 2r, S = sinh 2r, p = (a + b) C / 2, q = (a - b) / 2
+    the local blocks become diag(p +- q + S c1, p +- q - S c2) and the
+    coupling diag(S (a + b) / 2 + C c1, -S (a + b) / 2 + C c2).  Squeezing
+    both local blocks to multiples of 1 then equalizes the coupling exactly
+    where h(r) = K11 sqrt(A22 B22) - K22 sqrt(A11 B11) vanishes.
+
+    The pair's energy moves with (a + b) C + (c1 - c2) S, which is symmetric
+    about r* = tms_parameter(a, b, c1, c2), so no r between 0 and 2 r* raises
+    it, and the local squeezes only lower it further.  The root of h there is
+    returned, or r* itself when h keeps one sign on that bracket.
+    """
+    a, b, c1, c2 = params.a, params.b, params.c1, params.c2
+    r_star = tms_parameter(a, b, c1, c2)
+    half_sum, q = 0.5 * (a + b), 0.5 * (a - b)
+
+    def h(r):
+        C, S = math.cosh(2.0 * r), math.sinh(2.0 * r)
+        p = half_sum * C
+        k1, k2 = S * half_sum + C * c1, -S * half_sum + C * c2
+        return k1 * math.sqrt((p + q - S * c2) * (p - q - S * c2)) - k2 * math.sqrt(
+            (p + q + S * c1) * (p - q + S * c1)
+        )
+
+    lo, hi = sorted((0.0, 2.0 * r_star))
+    h_lo, h_hi = h(lo), h(hi)
+    if h_lo != 0.0 and h_hi != 0.0 and (h_lo > 0.0) == (h_hi > 0.0):
+        return r_star
+    return _bisect(h, lo, hi)
+
+
 def bs_angle(a_t: float, b_t: float, c: float, first_larger: bool = True) -> float:
     """Beam-splitter angle diagonalizing [[a 1, c 1], [c 1, b 1]].
 
@@ -327,7 +366,7 @@ def _pair_extract(
         stage = "P3-realign"
         if abs(params.c1 - params.c2) <= tol:
             break
-        r = tms_parameter(params.a, params.b, params.c1, params.c2)
+        r = _isotropy_squeeze(params)
         state = run.emit(two_mode_squeeze(r, (i, j), n), "P3-tms", state)
     else:
         raise ConvergenceError(

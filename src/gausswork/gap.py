@@ -21,6 +21,7 @@ import numpy as np
 
 from .core import (
     MomentState,
+    _bisect,
     mean_energy,
     occupation_entropy,
     require_valid,
@@ -149,31 +150,6 @@ def pure_match_for_state(state: MomentState, dim: int) -> TruncatedDensityMatrix
     return apply_gaussian_unitary(inverse(turn), apply_gaussian_unitary(inverse(splitter), rho))
 
 
-def _bisect(f, lo: float, hi: float) -> float:
-    """Root of f in [lo, hi], where f(lo) and f(hi) do not share a sign.
-
-    An endpoint where f is exactly zero is returned as it is.  Otherwise the
-    bracket is halved until hi - lo <= 4*eps*|mid|, or until the midpoint
-    rounds onto an endpoint.
-    """
-    f_lo = f(lo)
-    if f_lo == 0.0:
-        return lo
-    if f(hi) == 0.0:
-        return hi
-    while True:
-        mid = 0.5 * (lo + hi)
-        if hi - lo <= 4.0 * sys.float_info.epsilon * abs(mid) or mid in (lo, hi):
-            return mid
-        f_mid = f(mid)
-        if f_mid == 0.0:
-            return mid
-        if (f_mid > 0.0) == (f_lo > 0.0):
-            lo = mid
-        else:
-            hi = mid
-
-
 def thermal_beta_for_entropy(entropy: float, freq: float = 1.0) -> float:
     """Inverse temperature of the single-mode thermal state with this entropy."""
     if entropy < 0:
@@ -182,16 +158,16 @@ def thermal_beta_for_entropy(entropy: float, freq: float = 1.0) -> float:
         raise ValidationError("frequency must be positive")
     if entropy == 0:
         return math.inf
-    least = math.ulp(0.0)  # the least positive float
+    least, largest = math.ulp(0.0), sys.float_info.max  # the least and largest positive floats
     lo, hi = 1e-12, 1.0
     while occupation_entropy(lo) > entropy:
         if lo == least:
             raise ValidationError(f"entropy {entropy} out of solvable range")
         lo = max(lo / 100.0, least)
     while occupation_entropy(hi) < entropy:
-        hi *= 2.0
-        if hi > 1e30:
+        if hi == largest:
             raise ValidationError(f"entropy {entropy} out of solvable range")
+        hi = min(hi * 2.0, largest)
     occ = _bisect(lambda m: occupation_entropy(m) - entropy, lo, hi)
     # beta * freq = ln(1 + 1/occ), written so that 1/occ cannot overflow
     if occ >= 1.0:

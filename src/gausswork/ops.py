@@ -9,6 +9,7 @@ system; the embedded 2N x 2N S is built on demand.
 from __future__ import annotations
 
 import dataclasses
+import functools
 
 import numpy as np
 
@@ -65,7 +66,7 @@ def _block(kind: str, value: float) -> np.ndarray:
         c, s = np.cos(value), np.sin(value)
         return np.array([[c, s], [-s, c]])
     if kind == "squeeze":
-        return np.diag([np.exp(-value), np.exp(value)])
+        return np.array([[np.exp(-value), 0.0], [0.0, np.exp(value)]])
     if kind == "two_mode_squeeze":
         ch, sh = np.cosh(value), np.sinh(value)
         return np.array(
@@ -73,6 +74,14 @@ def _block(kind: str, value: float) -> np.ndarray:
         )
     c, s = np.cos(value), np.sin(value)  # beam_splitter
     return np.array([[c, 0.0, s, 0.0], [0.0, c, 0.0, s], [s, 0.0, -c, 0.0], [0.0, s, 0.0, -c]])
+
+
+@functools.lru_cache(maxsize=64)
+def _zero_displacement(n_modes: int) -> np.ndarray:
+    """The displacement of every elementary op on n_modes: zeros, shared and read-only."""
+    d = np.zeros(2 * n_modes)
+    d.flags.writeable = False
+    return d
 
 
 def _elementary(kind: str, value: float, modes, n_modes: int) -> GaussianOp:
@@ -87,7 +96,7 @@ def _elementary(kind: str, value: float, modes, n_modes: int) -> GaussianOp:
         raise ValidationError("target modes must be distinct")
     return GaussianOp(
         block=_block(kind, value),
-        d=np.zeros(2 * n_modes),
+        d=_zero_displacement(n_modes),
         kind=kind,
         params={name: float(value)},
         modes=modes,

@@ -25,6 +25,7 @@ from gausswork import (
     thermal_product_passivity,
     tms_parameter,
 )
+from gausswork.extraction import _isotropy_squeeze
 from gausswork.ops import (
     beam_splitter,
     displacement,
@@ -269,6 +270,50 @@ def test_tms_parameter_value():
 def test_tms_parameter_domain():
     with pytest.raises(ValidationError):
         tms_parameter(1.0, 1.0, 2.5, -0.5)
+
+
+def test_isotropy_squeeze_is_one_monotone_step():
+    # from standard form, one squeeze at the root plus the local squeezes of
+    # the next reduction leave the coupling isotropic, and the squeeze lies
+    # between 0 and 2 r*, where it cannot raise the pair's energy
+    rng = np.random.default_rng(4096)
+    for _ in range(40):
+        st, _ = random_active_state(rng)
+        st = MomentState(freqs=st.freqs, x=np.zeros(4), cov=st.cov)
+        reduced, _, params = reduce_to_standard_form(st)
+        r_star = tms_parameter(params.a, params.b, params.c1, params.c2)
+        r = _isotropy_squeeze(params)
+        assert min(0.0, 2.0 * r_star) <= r <= max(0.0, 2.0 * r_star)
+        squeezed = apply(two_mode_squeeze(r), reduced)
+        assert mean_energy(squeezed) <= mean_energy(reduced)
+        _, _, after = reduce_to_standard_form(squeezed)
+        assert abs(after.c1 - after.c2) <= 1e-12 * max(abs(after.c1), abs(after.c2))
+
+
+def test_one_two_mode_squeeze_per_state_on_a_bank():
+    rng = np.random.default_rng(1608)
+    single = 0
+    for _ in range(200):
+        st, nus = random_active_state(rng)
+        report = gaussian_ergotropy(st)
+        single += sum(s.op.kind == "two_mode_squeeze" for s in report.steps) == 1
+        floor = minimal_gaussian_energy(nus, st.freqs)
+        assert abs(report.final_energy - floor) <= 1e-8 * max(1.0, abs(floor))
+        energies = [report.initial_energy] + [s.energy_after for s in report.steps]
+        for before, after in zip(energies, energies[1:]):
+            assert after <= before + 1e-9 * max(1.0, abs(before))
+    assert single >= 190
+
+
+def test_three_modes_squeezed_at_r5_reach_the_floor():
+    # the greedy squeeze stalled here at |c1 - c2| = 2.1e-9 (ConvergenceError)
+    nus = np.array([1.5, 2.0, 3.0])
+    op = compose([squeeze(5.0, 0, 3), beam_splitter(0.7, (0, 1), 3), beam_splitter(0.4, (1, 2), 3)])
+    st = MomentState(freqs=[1.0, 1.5, 2.0], x=np.zeros(6), cov=op.S @ np.diag(np.repeat(nus, 2)) @ op.S.T)
+    report = nmode_gaussian_ergotropy(st)
+    floor = minimal_gaussian_energy(nus, st.freqs)
+    assert abs(report.final_energy - floor) <= 1e-8 * max(1.0, abs(floor))
+    assert report.certificate.passive
 
 
 def test_bs_angle_values():

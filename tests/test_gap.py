@@ -169,6 +169,19 @@ def test_thermal_beta_at_tiny_entropy():
         thermal_beta_for_entropy(1e-322)  # below the entropy of the least positive occupation
 
 
+def test_thermal_beta_at_huge_entropy():
+    # occupations near 1e30 and 1e303, above the old upper bracket
+    for entropy in (70.0, 700.0):
+        beta = thermal_beta_for_entropy(entropy)
+        assert 0.0 < beta < 1e-29
+        assert occupation_entropy(1.0 / math.expm1(beta)) == pytest.approx(entropy, rel=1e-12, abs=0.0)
+    # the thermal occupation of entropy 70 (about 1e30) is far above (3 - 1) / 2
+    with pytest.raises(ValidationError, match="forces occupation above the target covariance"):
+        fixed_entropy_state(3.0, 70.0)
+    with pytest.raises(ValidationError, match="out of solvable range"):
+        thermal_beta_for_entropy(711.0)  # above the entropy of the largest float occupation
+
+
 def test_min_energy_at_entropy_round_trip():
     # The least energy at the entropy of a common-temperature thermal product
     # is that product's own energy.

@@ -31,6 +31,15 @@ def test_rotation_matrix():
     assert op.kind == "rotation"
 
 
+def test_elementary_ops_share_a_read_only_zero_displacement():
+    ops = [rotation(0.3, 1, 3), squeeze(0.2, 0, 3), two_mode_squeeze(0.1, (0, 2), 3)]
+    assert all(op.d is ops[0].d for op in ops)
+    assert ops[0].d.shape == (6,) and np.all(ops[0].d == 0.0)
+    with pytest.raises(ValueError):
+        ops[1].d[0] = 1.0
+    assert rotation(0.3, 0, 2).d.shape == (4,)
+
+
 def test_squeeze_matrix():
     op = squeeze(1.0)
     assert np.allclose(op.S, np.diag([math.exp(-1.0), math.exp(1.0)]), atol=1e-15)
