@@ -18,8 +18,6 @@ from .exceptions import ValidationError
 
 DEFAULT_TOL = 1e-9
 
-_OMEGA_BLOCK = np.array([[0.0, 1.0], [-1.0, 0.0]])
-
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class MomentState:
@@ -83,7 +81,10 @@ def symplectic_form(n_modes: int) -> np.ndarray:
     """Block-diagonal symplectic form Omega with 2x2 blocks [[0, 1], [-1, 0]]."""
     if n_modes < 1:
         raise ValidationError("n_modes must be >= 1")
-    return np.kron(np.eye(n_modes), _OMEGA_BLOCK)
+    omega = np.zeros((2 * n_modes, 2 * n_modes))
+    omega.flat[1 :: 4 * n_modes + 2] = 1.0  # entries (2k, 2k + 1)
+    omega.flat[2 * n_modes :: 4 * n_modes + 2] = -1.0  # entries (2k + 1, 2k)
+    return omega
 
 
 def validate_state(state: MomentState, tol: float = DEFAULT_TOL) -> ValidationReport:

@@ -4,9 +4,9 @@ The two-mode pipeline synthesizes an explicit protocol of elementary
 operations: zero the first moments, bring the pair to standard form, apply
 the two-mode squeeze after which local squeezes leave the coupling block
 isotropic, then split the modes apart with one beam splitter.  That squeeze
-is the root of an isotropy condition, bisected between 0 and twice the
-energy-optimal squeeze r*, where no squeeze raises the energy; when the
-root lies outside that bracket the pipeline takes r* and reduces again.
+is the closed-form root of an isotropy condition, taken when it lies between
+0 and twice the energy-optimal squeeze r*, where no squeeze raises the
+energy; otherwise the pipeline takes r* and reduces again.
 The endpoint carries the symplectic spectrum sorted against the mode
 frequencies, which is the least mean energy any Gaussian operation can
 reach.
@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import logging
 import math
 import warnings
 
@@ -24,7 +25,6 @@ import numpy as np
 from .core import (
     DEFAULT_TOL,
     MomentState,
-    _bisect,
     mean_energy,
     mode_energy,
     require_valid,
@@ -52,6 +52,8 @@ _STEP_EPS = 1e-13
 # relative optimality slack before a report is flagged; float64 rounding
 # accumulated over the iteration makes anything tighter unreliable
 _GAP_WARN_RTOL = 1e-8
+
+_log = logging.getLogger("gausswork")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -195,34 +197,37 @@ def _isotropy_squeeze(params: StandardFormParams) -> float:
     """Two-mode squeeze after which local squeezes make the coupling isotropic.
 
     From standard form (a*1, b*1, diag(c1, c2)) a squeeze r keeps every block
-    diagonal: with C = cosh 2r, S = sinh 2r, p = (a + b) C / 2, q = (a - b) / 2
-    the local blocks become diag(p +- q + S c1, p +- q - S c2) and the
-    coupling diag(S (a + b) / 2 + C c1, -S (a + b) / 2 + C c2).  Squeezing
-    both local blocks to multiples of 1 then equalizes the coupling exactly
-    where h(r) = K11 sqrt(A22 B22) - K22 sqrt(A11 B11) vanishes.
+    diagonal: with s = (a + b) / 2 the coupling becomes
+    K11 = s sinh 2r + c1 cosh 2r, K22 = c2 cosh 2r - s sinh 2r, and the local
+    determinants A11 B11 = K11^2 + ab - c1^2, A22 B22 = K22^2 + ab - c2^2.
+    Squeezing both local blocks to multiples of 1 equalizes the coupling
+    where K11 alpha = K22 beta, alpha = sqrt(ab - c2^2), beta = sqrt(ab - c1^2):
+    tanh 2r = (c2 beta - c1 alpha) / (s (alpha + beta)).
 
-    The pair's energy moves with (a + b) C + (c1 - c2) S, which is symmetric
-    about r* = tms_parameter(a, b, c1, c2), so no r between 0 and 2 r* raises
-    it, and the local squeezes only lower it further.  The root of h there is
-    returned, or r* itself when h keeps one sign on that bracket.
+    The pair's energy moves with (a + b) cosh 2r + (c1 - c2) sinh 2r, which is
+    symmetric about r* = tms_parameter(a, b, c1, c2), so no r between 0 and
+    2 r* raises it, and the local squeezes only lower it further.  The root is
+    returned when it lies there; otherwise r* is, and one debug record on the
+    gausswork logger gives a, b, c1, c2, the root and r*.
     """
     a, b, c1, c2 = params.a, params.b, params.c1, params.c2
     r_star = tms_parameter(a, b, c1, c2)
-    half_sum, q = 0.5 * (a + b), 0.5 * (a - b)
-
-    def h(r):
-        C, S = math.cosh(2.0 * r), math.sinh(2.0 * r)
-        p = half_sum * C
-        k1, k2 = S * half_sum + C * c1, -S * half_sum + C * c2
-        return k1 * math.sqrt((p + q - S * c2) * (p - q - S * c2)) - k2 * math.sqrt(
-            (p + q + S * c1) * (p - q + S * c1)
+    alpha, beta = math.sqrt(a * b - c2 * c2), math.sqrt(a * b - c1 * c1)
+    if c1 * c2 > 0.0:  # c2 beta and c1 alpha nearly cancel; rationalize
+        num = a * b * (c2 - c1) * (c2 + c1) / (c2 * beta + c1 * alpha)
+    else:
+        num = c2 * beta - c1 * alpha
+    t = num / (0.5 * (a + b) * (alpha + beta))
+    root = 0.5 * math.atanh(t) if abs(t) < 1.0 else None
+    if root is not None and min(0.0, 2.0 * r_star) <= root <= max(0.0, 2.0 * r_star):
+        return root
+    if _log.isEnabledFor(logging.DEBUG):
+        stats = {"a": a, "b": b, "c1": c1, "c2": c2, "root": root or "none", "r_star": r_star}
+        _log.debug(
+            "extraction.isotropy_fallback a=%(a).17g b=%(b).17g c1=%(c1).17g c2=%(c2).17g "
+            "root=%(root)s r_star=%(r_star).17g", stats, extra=stats,
         )
-
-    lo, hi = sorted((0.0, 2.0 * r_star))
-    h_lo, h_hi = h(lo), h(hi)
-    if h_lo != 0.0 and h_hi != 0.0 and (h_lo > 0.0) == (h_hi > 0.0):
-        return r_star
-    return _bisect(h, lo, hi)
+    return r_star
 
 
 def bs_angle(a_t: float, b_t: float, c: float, first_larger: bool = True) -> float:

@@ -181,7 +181,7 @@ def _thermal_populations(beta: float, freq: float, dim: int) -> np.ndarray:
         p[0] = 1.0
         return p
     q = math.exp(-beta * freq)
-    p = (1.0 - q) * q ** np.arange(dim)
+    p = -math.expm1(-beta * freq) * q ** np.arange(dim)
     return p / p.sum()
 
 
@@ -257,7 +257,7 @@ def _suggest_cutoff(beta: float, freq: float, excess: float) -> int:
     if math.isinf(beta):
         return 2 * (int(math.ceil(excess)) + 3)
     q = math.exp(-beta * freq)
-    p0 = 1.0 - q
+    p0 = -math.expm1(-beta * freq)
     for n in range(3, 100000):
         if n * (p0 - p0 * q**n) >= excess:
             return 2 * n

@@ -39,6 +39,15 @@ def test_symplectic_form_blocks():
     assert np.array_equal(omega.T, -omega)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 8])
+def test_symplectic_form_matches_the_kron_form(n):
+    omega = symplectic_form(n)
+    assert np.array_equal(omega, np.kron(np.eye(n), [[0.0, 1.0], [-1.0, 0.0]]))
+    # a fresh, writable array on every call
+    omega[0, 0] = 5.0
+    assert symplectic_form(n)[0, 0] == 0.0
+
+
 def test_moment_state_validates_shapes():
     with pytest.raises(ValidationError):
         MomentState(freqs=[1.0], x=[0.0, 0.0, 0.0], cov=np.eye(2))

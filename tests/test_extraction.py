@@ -1,5 +1,7 @@
 """Passivity verdicts, standard-form reduction, and the extraction pipeline."""
 
+import decimal
+import logging
 import math
 import warnings
 
@@ -25,7 +27,7 @@ from gausswork import (
     thermal_product_passivity,
     tms_parameter,
 )
-from gausswork.extraction import _isotropy_squeeze
+from gausswork.extraction import StandardFormParams, _isotropy_squeeze
 from gausswork.ops import (
     beam_splitter,
     displacement,
@@ -288,6 +290,85 @@ def test_isotropy_squeeze_is_one_monotone_step():
         assert mean_energy(squeezed) <= mean_energy(reduced)
         _, _, after = reduce_to_standard_form(squeezed)
         assert abs(after.c1 - after.c2) <= 1e-12 * max(abs(after.c1), abs(after.c2))
+
+
+def _bisected_isotropy_squeeze(params):
+    """The isotropy squeeze by bisecting h in 50-digit decimals, or r* without a sign change.
+
+    After a squeeze r from standard form the local blocks are
+    diag(p +- q + S c1, p +- q - S c2) and the coupling
+    diag(S (a + b) / 2 + C c1, -S (a + b) / 2 + C c2), with C = cosh 2r,
+    S = sinh 2r, p = (a + b) C / 2 and q = (a - b) / 2; the coupling turns
+    isotropic where h(r) = K11 sqrt(A22 B22) - K22 sqrt(A11 B11) vanishes.
+    """
+    r_star = tms_parameter(params.a, params.b, params.c1, params.c2)
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        a, b, c1, c2 = (decimal.Decimal(float(v)) for v in (params.a, params.b, params.c1, params.c2))
+        half_sum, q = (a + b) / 2, (a - b) / 2
+
+        def h(r):
+            e = (2 * r).exp()
+            C, S = (e + 1 / e) / 2, (e - 1 / e) / 2
+            p = half_sum * C
+            k1, k2 = S * half_sum + C * c1, -S * half_sum + C * c2
+            return k1 * ((p + q - S * c2) * (p - q - S * c2)).sqrt() - k2 * (
+                (p + q + S * c1) * (p - q + S * c1)
+            ).sqrt()
+
+        lo, hi = sorted((decimal.Decimal(0), decimal.Decimal(2.0 * r_star)))
+        h_lo = h(lo)
+        if h_lo * h(hi) > 0:
+            return r_star
+        for _ in range(200):
+            mid = (lo + hi) / 2
+            if (h(mid) > 0) == (h_lo > 0):
+                lo = mid
+            else:
+                hi = mid
+        return float((lo + hi) / 2)
+
+
+# a nearly pure, strongly correlated pair of the fixed sweeps item squeezed
+# at r = 6.5, whose isotropy root lies beyond 2 r*
+_STALLED_PAIR = StandardFormParams(
+    a=161.10389242559103, b=178.18217164130792, c1=167.31511495129081, c2=167.3753376453092
+)
+
+
+def test_isotropy_root_matches_a_bisection_of_h():
+    rng = np.random.default_rng(1977)
+    cases = []
+    for _ in range(30):
+        st, _ = random_active_state(rng)
+        st = MomentState(freqs=st.freqs, x=np.zeros(4), cov=st.cov)
+        cases.append(reduce_to_standard_form(st)[2])
+    # c1 close to c2, where c2 beta and c1 alpha nearly cancel, and to -c2
+    for c1, c2 in [(1.2, 1.2 + 1e-7), (1.2, 1.2 - 1e-9), (-1.2, -1.2 - 1e-4), (1.5, -1.5 + 1e-6), (-1.5, 1.4999)]:
+        cases.append(StandardFormParams(a=3.0, b=2.0, c1=c1, c2=c2))
+    for params in cases:
+        r = _isotropy_squeeze(params)
+        assert r != tms_parameter(params.a, params.b, params.c1, params.c2)
+        assert abs(r - _bisected_isotropy_squeeze(params)) <= 1e-12 * abs(r)
+    r_star = tms_parameter(_STALLED_PAIR.a, _STALLED_PAIR.b, _STALLED_PAIR.c1, _STALLED_PAIR.c2)
+    assert _isotropy_squeeze(_STALLED_PAIR) == _bisected_isotropy_squeeze(_STALLED_PAIR) == r_star
+
+
+def test_isotropy_fallback_logs_one_record(caplog):
+    r_star = tms_parameter(_STALLED_PAIR.a, _STALLED_PAIR.b, _STALLED_PAIR.c1, _STALLED_PAIR.c2)
+    with caplog.at_level(logging.DEBUG, logger="gausswork"):
+        _isotropy_squeeze(StandardFormParams(a=3.0, b=2.0, c1=1.2, c2=-0.4))
+        assert _isotropy_squeeze(_STALLED_PAIR) == r_star
+    records = [r for r in caplog.records if r.name == "gausswork"]
+    assert len(records) == 1
+    record = records[0]
+    assert record.levelno == logging.DEBUG
+    assert (record.a, record.b, record.c1, record.c2) == (
+        _STALLED_PAIR.a, _STALLED_PAIR.b, _STALLED_PAIR.c1, _STALLED_PAIR.c2
+    )
+    assert record.r_star == r_star
+    assert record.root > 2.0 * r_star > 0.0
+    assert record.getMessage().startswith("extraction.isotropy_fallback a=")
 
 
 def test_one_two_mode_squeeze_per_state_on_a_bank():

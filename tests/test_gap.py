@@ -1,6 +1,7 @@
 """Gap constructions: pure moment matches, fixed-entropy states, swap witnesses."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -245,6 +246,18 @@ def test_fixed_entropy_preserves_entropy_across_targets():
         assert abs(entropy_of(c.state) - entropy) < 1e-10
         _, cov = moments_of(c.state)
         assert np.max(np.abs(cov - nu * np.eye(2))) < 1e-9
+
+
+@pytest.mark.parametrize("entropy", [30.0, 40.0, 50.0])
+def test_fixed_entropy_at_high_entropy_has_no_level_and_no_zero_division(entropy):
+    # above an entropy of about 38, 1 - exp(-beta) rounds to 0 and the
+    # thermal populations were 0 / 0; expm1 keeps them finite
+    beta = thermal_beta_for_entropy(entropy)
+    nu_thermal = 2.0 / math.expm1(beta) + 1.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValidationError, match="no admissible rotation level exists"):
+            fixed_entropy_state(2.0 * nu_thermal, entropy)
 
 
 # ---------------------------------------------------------------------------
