@@ -104,15 +104,9 @@ def cmd_extract(args) -> int:
         )
     if state.n_modes < 2:
         raise ValidationError("work extraction needs at least two modes")
+    extract = nmode_gaussian_ergotropy if args.nmode else gaussian_ergotropy
     try:
-        if state.n_modes == 2 and not args.nmode:
-            report = gaussian_ergotropy(
-                state, tol=args.tol, max_iters=args.max_iters
-            )
-        else:
-            report = nmode_gaussian_ergotropy(
-                state, tol=args.tol, max_iters=args.max_iters
-            )
+        report = extract(state, tol=args.tol, max_iters=args.max_iters)
     except ConvergenceError as exc:
         if args.trace is not None:
             write_trace_csv(exc.steps, args.trace)

@@ -387,14 +387,52 @@ def _pair_extract(
     return state
 
 
-def _finish_report(
-    initial_energy: float,
-    steps: list,
+def _sweep(
     state: MomentState,
-    spectrum: np.ndarray,
+    tol: float,
+    max_iters: int,
+    max_sweeps: int,
     passivity_tol: float,
-    sweeps: int | None,
 ) -> ExtractionReport:
+    """Displace, then run the two-mode pipeline over mode pairs until the state is passive."""
+    require_valid(state)
+    initial_energy = mean_energy(state)
+    spectrum = symplectic_spectrum(state.cov)
+
+    run = _Run(state)
+    if float(np.max(np.abs(state.x))) > _STEP_EPS:
+        state = run.emit(displacement(-state.x), "P1-displace", state)
+
+    n = state.n_modes
+    for sweeps in range(1, max_sweeps + 1):
+        certificate = all_pairs_gaussian_passive(state, passivity_tol)
+        if certificate.passive:
+            break
+        energy_before = run.energy
+        regrouped = False
+        for i, j in itertools.combinations(range(n), 2):
+            if n == 2:  # the pair is the whole state
+                pair = certificate
+            else:
+                idx = [2 * i, 2 * i + 1, 2 * j, 2 * j + 1]
+                pair = _passivity(
+                    state.freqs[[i, j]], state.x[idx], state.cov[np.ix_(idx, idx)], passivity_tol
+                )
+            if pair.clause == "i":
+                continue
+            # a coupled equal-frequency pair is passive on its own, but
+            # splitting it (at no energy cost) can expose a misordering
+            regrouped = regrouped or pair.passive
+            state = _pair_extract(state, i, j, run, tol, max_iters)
+        if energy_before - run.energy <= tol and not regrouped:
+            certificate = all_pairs_gaussian_passive(state, passivity_tol)
+            break
+    else:
+        raise ConvergenceError(
+            f"pairwise sweeps did not reach a fixed point in {max_sweeps} sweeps",
+            steps=run.steps,
+        )
+
     final_energy = mean_energy(state)
     floor = minimal_gaussian_energy(spectrum, state.freqs)
     gap = final_energy - floor
@@ -404,12 +442,11 @@ def _finish_report(
             OptimalityWarning,
             stacklevel=3,
         )
-    certificate = all_pairs_gaussian_passive(state, passivity_tol)
     return ExtractionReport(
         initial_energy=initial_energy,
         final_energy=final_energy,
         extracted_work=initial_energy - final_energy,
-        steps=tuple(steps),
+        steps=tuple(run.steps),
         final_state=state,
         certificate=certificate,
         spectrum=spectrum,
@@ -426,37 +463,14 @@ def gaussian_ergotropy(
 ) -> ExtractionReport:
     """Maximal Gaussian-extractable work from a two-mode state, with protocol.
 
-    Returns an ExtractionReport whose steps lower the mean energy
-    monotonically down to the spectral floor; already-passive states yield
-    zero work and an empty protocol.
+    The sweep of nmode_gaussian_ergotropy on its one pair, reported with
+    sweeps=None.  The steps lower the mean energy monotonically down to the
+    spectral floor; already-passive states yield zero work and an empty
+    protocol.
     """
     if state.n_modes != 2:
         raise ValidationError("gaussian_ergotropy expects a two-mode state")
-    require_valid(state)
-    initial_energy = mean_energy(state)
-    spectrum = symplectic_spectrum(state.cov)
-
-    verdict = is_gaussian_passive(state, passivity_tol)
-    if verdict.passive:
-        return ExtractionReport(
-            initial_energy=initial_energy,
-            final_energy=initial_energy,
-            extracted_work=0.0,
-            steps=(),
-            final_state=state,
-            certificate=verdict,
-            spectrum=spectrum,
-            optimality_gap=float(
-                initial_energy - minimal_gaussian_energy(spectrum, state.freqs)
-            ),
-            sweeps=None,
-        )
-
-    run = _Run(state)
-    if float(np.max(np.abs(state.x))) > _STEP_EPS:
-        state = run.emit(displacement(-state.x), "P1-displace", state)
-    state = _pair_extract(state, 0, 1, run, tol, max_iters)
-    return _finish_report(initial_energy, run.steps, state, spectrum, passivity_tol, None)
+    return dataclasses.replace(_sweep(state, tol, max_iters, MAX_SWEEPS, passivity_tol), sweeps=None)
 
 
 def nmode_gaussian_ergotropy(
@@ -470,47 +484,12 @@ def nmode_gaussian_ergotropy(
 
     Lexicographic mode pairs are processed with the two-mode pipeline
     (embedded in the full system) until the whole state is passive or a
-    sweep stops lowering the energy; for two modes this reduces to
-    gaussian_ergotropy.
+    sweep stops lowering the energy; gaussian_ergotropy is this sweep at
+    two modes.
     """
     if state.n_modes < 2:
         raise ValidationError("nmode_gaussian_ergotropy expects at least two modes")
-    require_valid(state)
-    initial_energy = mean_energy(state)
-    spectrum = symplectic_spectrum(state.cov)
-
-    run = _Run(state)
-    if float(np.max(np.abs(state.x))) > _STEP_EPS:
-        state = run.emit(displacement(-state.x), "P1-displace", state)
-
-    n = state.n_modes
-    sweeps = 0
-    for _ in range(max_sweeps):
-        sweeps += 1
-        if all_pairs_gaussian_passive(state, passivity_tol).passive:
-            break
-        energy_before = run.energy
-        regrouped = False
-        for i in range(n):
-            for j in range(i + 1, n):
-                idx = [2 * i, 2 * i + 1, 2 * j, 2 * j + 1]
-                pair = _passivity(
-                    state.freqs[[i, j]], state.x[idx], state.cov[np.ix_(idx, idx)], passivity_tol
-                )
-                if pair.clause == "i":
-                    continue
-                # a coupled equal-frequency pair is passive on its own, but
-                # splitting it (at no energy cost) can expose a misordering
-                regrouped = regrouped or pair.passive
-                state = _pair_extract(state, i, j, run, tol, max_iters)
-        if energy_before - run.energy <= tol and not regrouped:
-            break
-    else:
-        raise ConvergenceError(
-            f"pairwise sweeps did not reach a fixed point in {max_sweeps} sweeps",
-            steps=run.steps,
-        )
-    return _finish_report(initial_energy, run.steps, state, spectrum, passivity_tol, sweeps)
+    return _sweep(state, tol, max_iters, max_sweeps, passivity_tol)
 
 
 def thermal_product_passivity(

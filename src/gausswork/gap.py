@@ -32,7 +32,6 @@ from .core import (
 from .exceptions import TruncationError, ValidationError
 from .extraction import (
     bs_angle,
-    gaussian_ergotropy,
     is_gaussian_passive,
     minimal_gaussian_energy,
     nmode_gaussian_ergotropy,
@@ -332,8 +331,6 @@ def ergotropy_gap(
     if state.n_modes == 1:
         floor = minimal_gaussian_energy(symplectic_spectrum(state.cov), state.freqs)
         gaussian = energy - floor
-    elif state.n_modes == 2:
-        gaussian = gaussian_ergotropy(state).extracted_work
     else:
         gaussian = nmode_gaussian_ergotropy(state).extracted_work
     gaussian = max(gaussian, 0.0)
