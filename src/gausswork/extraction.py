@@ -6,7 +6,8 @@ the two-mode squeeze after which local squeezes leave the coupling block
 isotropic, then split the modes apart with one beam splitter.  That squeeze
 is the closed-form root of an isotropy condition, taken when it lies between
 0 and twice the energy-optimal squeeze r*, where no squeeze raises the
-energy; otherwise the pipeline takes r* and reduces again.
+energy; otherwise the pipeline applies the pair's beam splitter, which cannot
+raise the energy either, and reduces again.
 The endpoint carries the symplectic spectrum sorted against the mode
 frequencies, which is the least mean energy any Gaussian operation can
 reach.
@@ -193,7 +194,7 @@ def tms_parameter(a: float, b: float, c1: float, c2: float) -> float:
     return -0.5 * math.atanh((c1 - c2) / (a + b))
 
 
-def _isotropy_squeeze(params: StandardFormParams) -> float:
+def _isotropy_squeeze(params: StandardFormParams) -> float | None:
     """Two-mode squeeze after which local squeezes make the coupling isotropic.
 
     From standard form (a*1, b*1, diag(c1, c2)) a squeeze r keeps every block
@@ -207,8 +208,8 @@ def _isotropy_squeeze(params: StandardFormParams) -> float:
     The pair's energy moves with (a + b) cosh 2r + (c1 - c2) sinh 2r, which is
     symmetric about r* = tms_parameter(a, b, c1, c2), so no r between 0 and
     2 r* raises it, and the local squeezes only lower it further.  The root is
-    returned when it lies there; otherwise r* is, and one debug record on the
-    gausswork logger gives a, b, c1, c2, the root and r*.
+    returned when it lies there; otherwise None is, and one debug record on
+    the gausswork logger gives a, b, c1, c2, the root and r*.
     """
     a, b, c1, c2 = params.a, params.b, params.c1, params.c2
     r_star = tms_parameter(a, b, c1, c2)
@@ -227,7 +228,7 @@ def _isotropy_squeeze(params: StandardFormParams) -> float:
             "extraction.isotropy_fallback a=%(a).17g b=%(b).17g c1=%(c1).17g c2=%(c2).17g "
             "root=%(root)s r_star=%(r_star).17g", stats, extra=stats,
         )
-    return r_star
+    return None
 
 
 def bs_angle(a_t: float, b_t: float, c: float, first_larger: bool = True) -> float:
@@ -363,8 +364,15 @@ def _pair_extract(
     tol: float,
     max_iters: int,
 ) -> MomentState:
-    """Run the standard-form / two-mode-squeeze loop plus the final beam splitter."""
+    """Run the standard-form / two-mode-squeeze loop plus the final beam splitter.
+
+    Where the isotropy squeeze lies beyond 2 r*, the pair's beam splitter
+    takes its place: it turns x and p by one angle, so it diagonalizes the
+    pair's x + p sum [[2a, c1 + c2], [c1 + c2, 2b]] and cannot raise the
+    energy, and it leaves a coupling small enough for the next root.
+    """
     n = state.n_modes
+    first_larger = state.freqs[i] <= state.freqs[j]
     stage = "P2-local"
     for it in range(max_iters):
         state, params = _reduce_pair(state, i, j, run, stage)
@@ -372,16 +380,18 @@ def _pair_extract(
         if abs(params.c1 - params.c2) <= tol:
             break
         r = _isotropy_squeeze(params)
-        state = run.emit(two_mode_squeeze(r, (i, j), n), "P3-tms", state)
+        if r is None:
+            theta = bs_angle(params.a, params.b, 0.5 * (params.c1 + params.c2), first_larger)
+            state = run.emit(beam_splitter(theta, (i, j), n), stage, state)
+        else:
+            state = run.emit(two_mode_squeeze(r, (i, j), n), "P3-tms", state)
     else:
         raise ConvergenceError(
             f"standard-form loop did not converge in {max_iters} iterations "
             f"(|c1 - c2| = {abs(params.c1 - params.c2):.3e})",
             steps=run.steps,
         )
-    c = 0.5 * (params.c1 + params.c2)
-    first_larger = state.freqs[i] <= state.freqs[j]
-    theta = bs_angle(params.a, params.b, c, first_larger)
+    theta = bs_angle(params.a, params.b, 0.5 * (params.c1 + params.c2), first_larger)
     if abs(theta) > _STEP_EPS:
         state = run.emit(beam_splitter(theta, (i, j), n), "P4-beamsplit", state)
     return state

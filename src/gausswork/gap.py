@@ -208,8 +208,6 @@ def fixed_entropy_state(
     raise the mean occupation to (nu-1)/2.  Entropy is exactly preserved
     because the rotation is unitary.
     """
-    from .fock import density_matrix
-
     if nu_target < 1.0 - 1e-12:
         raise ValidationError(f"target eigenvalue {nu_target} below vacuum")
     beta = thermal_beta_for_entropy(entropy, freq)
@@ -241,6 +239,8 @@ def fixed_entropy_state(
     u[level, 0] = math.sin(phi)
     u[0, level] = -math.sin(phi)
     rho = u @ np.diag(pops) @ u.T
+    from .fock import density_matrix  # SciPy loads only once a level exists
+
     state = density_matrix(rho, [freq], cutoff)
     return FixedEntropyConstruction(
         state=state,
@@ -252,15 +252,29 @@ def fixed_entropy_state(
 
 
 def _suggest_cutoff(beta: float, freq: float, excess: float) -> int:
-    """Smallest even cutoff admitting a rotation level, from untruncated tails."""
+    """Smallest even cutoff admitting a rotation level, from untruncated tails.
+
+    Level n raises the occupation by at most n p0 (1 - q^n), which grows
+    with n, so the least admissible level below 100000 is found by bisection.
+    """
     if math.isinf(beta):
         return 2 * (int(math.ceil(excess)) + 3)
     q = math.exp(-beta * freq)
     p0 = -math.expm1(-beta * freq)
-    for n in range(3, 100000):
-        if n * (p0 - p0 * q**n) >= excess:
-            return 2 * n
-    raise ValidationError("no admissible rotation level exists")
+
+    def admits(n):
+        return n * (p0 - p0 * q**n) >= excess
+
+    lo, hi = 3, 99999
+    if not admits(hi):
+        raise ValidationError("no admissible rotation level exists")
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if admits(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return 2 * lo
 
 
 @dataclasses.dataclass(frozen=True)

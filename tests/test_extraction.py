@@ -27,6 +27,7 @@ from gausswork import (
     thermal_product_passivity,
     tms_parameter,
 )
+from gausswork import extraction
 from gausswork.extraction import StandardFormParams, _isotropy_squeeze
 from gausswork.ops import (
     beam_splitter,
@@ -351,14 +352,15 @@ def test_isotropy_root_matches_a_bisection_of_h():
         assert r != tms_parameter(params.a, params.b, params.c1, params.c2)
         assert abs(r - _bisected_isotropy_squeeze(params)) <= 1e-12 * abs(r)
     r_star = tms_parameter(_STALLED_PAIR.a, _STALLED_PAIR.b, _STALLED_PAIR.c1, _STALLED_PAIR.c2)
-    assert _isotropy_squeeze(_STALLED_PAIR) == _bisected_isotropy_squeeze(_STALLED_PAIR) == r_star
+    assert _bisected_isotropy_squeeze(_STALLED_PAIR) == r_star
+    assert _isotropy_squeeze(_STALLED_PAIR) is None
 
 
 def test_isotropy_fallback_logs_one_record(caplog):
     r_star = tms_parameter(_STALLED_PAIR.a, _STALLED_PAIR.b, _STALLED_PAIR.c1, _STALLED_PAIR.c2)
     with caplog.at_level(logging.DEBUG, logger="gausswork"):
         _isotropy_squeeze(StandardFormParams(a=3.0, b=2.0, c1=1.2, c2=-0.4))
-        assert _isotropy_squeeze(_STALLED_PAIR) == r_star
+        assert _isotropy_squeeze(_STALLED_PAIR) is None
     records = [r for r in caplog.records if r.name == "gausswork"]
     assert len(records) == 1
     record = records[0]
@@ -386,15 +388,74 @@ def test_one_two_mode_squeeze_per_state_on_a_bank():
     assert single >= 190
 
 
+def squeezed_three_mode(r):
+    """Three thermal modes, nu = (1.5, 2, 3), squeezed at r on mode 0 and mixed by two beam splitters."""
+    nus = np.array([1.5, 2.0, 3.0])
+    op = compose([squeeze(r, 0, 3), beam_splitter(0.7, (0, 1), 3), beam_splitter(0.4, (1, 2), 3)])
+    st = MomentState(freqs=[1.0, 1.5, 2.0], x=np.zeros(6), cov=op.S @ np.diag(np.repeat(nus, 2)) @ op.S.T)
+    return st, nus
+
+
 def test_three_modes_squeezed_at_r5_reach_the_floor():
     # the greedy squeeze stalled here at |c1 - c2| = 2.1e-9 (ConvergenceError)
-    nus = np.array([1.5, 2.0, 3.0])
-    op = compose([squeeze(5.0, 0, 3), beam_splitter(0.7, (0, 1), 3), beam_splitter(0.4, (1, 2), 3)])
-    st = MomentState(freqs=[1.0, 1.5, 2.0], x=np.zeros(6), cov=op.S @ np.diag(np.repeat(nus, 2)) @ op.S.T)
+    st, nus = squeezed_three_mode(5.0)
     report = nmode_gaussian_ergotropy(st)
     floor = minimal_gaussian_energy(nus, st.freqs)
     assert abs(report.final_energy - floor) <= 1e-8 * max(1.0, abs(floor))
     assert report.certificate.passive
+
+
+@pytest.mark.parametrize("r", [6.5, 8.0])
+def test_three_modes_squeezed_beyond_the_isotropy_bracket_reach_the_floor(r):
+    # every isotropy root of these nearly pure, strongly correlated pairs lay
+    # beyond 2 r*, and squeezing by r* instead stalled (ConvergenceError after
+    # 200 rounds at |c1 - c2| = 6.0e-2 and 3.1); the beam splitter converges
+    st, nus = squeezed_three_mode(r)
+    report = nmode_gaussian_ergotropy(st)
+    floor = minimal_gaussian_energy(nus, st.freqs)
+    assert abs(report.final_energy - floor) <= 1e-8 * max(1.0, abs(floor))
+    energies = [report.initial_energy] + [s.energy_after for s in report.steps]
+    for before, after in zip(energies, energies[1:]):
+        assert after <= before + 1e-9 * max(1.0, abs(before))
+    assert report.certificate.passive
+
+
+def test_the_passivity_criterion_runs_once_per_sweep(monkeypatch):
+    # the certificate is the whole-state verdict that ended the sweeps, and
+    # a two-mode pair test reuses that verdict: an active pair costs two
+    # evaluations, one before and one after its pipeline
+    verdicts = []
+
+    def spy(freqs, x, cov, tol):
+        verdict = passivity(freqs, x, cov, tol)
+        verdicts.append((freqs.size, verdict))
+        return verdict
+
+    passivity = extraction._passivity
+    monkeypatch.setattr(extraction, "_passivity", spy)
+    rng = np.random.default_rng(55)
+    st, _ = random_active_state(rng)
+    report = gaussian_ergotropy(st)
+    assert report.steps and report.certificate.passive
+    assert len(verdicts) == 2
+    assert report.certificate is verdicts[-1][1]
+
+    # n modes: one whole-state verdict per sweep, and one more only where
+    # the energy stop, not a passive verdict, ended the sweeps
+    ended_passive = 0
+    for _ in range(6):
+        verdicts.clear()
+        st, _ = random_active_state(rng, n_modes=3)
+        report = nmode_gaussian_ergotropy(st)
+        whole = [v for size, v in verdicts if size == 3]
+        assert report.certificate.passive
+        assert report.certificate is whole[-1]
+        if whole[report.sweeps - 1].passive:
+            ended_passive += 1
+            assert len(whole) == report.sweeps
+        else:
+            assert len(whole) == report.sweeps + 1
+    assert ended_passive >= 2
 
 
 def test_bs_angle_values():

@@ -30,7 +30,7 @@ from gausswork import (
     thermal_swap_witness,
 )
 from gausswork.fock import _population_diagonal
-from gausswork.gap import _min_energy_at_entropy
+from gausswork.gap import _min_energy_at_entropy, _suggest_cutoff
 from gausswork.ops import apply, beam_splitter, rotation
 
 LN2 = math.log(2.0)
@@ -246,6 +246,36 @@ def test_fixed_entropy_preserves_entropy_across_targets():
         assert abs(entropy_of(c.state) - entropy) < 1e-10
         _, cov = moments_of(c.state)
         assert np.max(np.abs(cov - nu * np.eye(2))) < 1e-9
+
+
+def _scanned_cutoff(beta, freq, excess):
+    """The least even cutoff by scanning levels 3 ... 99999 in turn, or None without one."""
+    q = math.exp(-beta * freq)
+    p0 = -math.expm1(-beta * freq)
+    for n in range(3, 100000):
+        if n * (p0 - p0 * q**n) >= excess:
+            return 2 * n
+    return None
+
+
+def test_suggested_cutoff_matches_a_linear_scan():
+    rng = np.random.default_rng(2718)
+    cases = [(10.0 ** rng.uniform(-3.0, 1.0), rng.uniform(0.5, 2.5), 10.0 ** rng.uniform(-6.0, 2.0)) for _ in range(150)]
+    # excesses met exactly at a level, and one no level below 100000 meets
+    for beta, n in ((0.3, 7), (0.01, 2500), (2.0, 3)):
+        q, p0 = math.exp(-beta), -math.expm1(-beta)
+        cases.append((beta, 1.0, n * (p0 - p0 * q**n)))
+    cases.append((1e-3, 1.0, 150.0))
+    failing = 0
+    for beta, freq, excess in cases:
+        expected = _scanned_cutoff(beta, freq, excess)
+        if expected is None:
+            failing += 1
+            with pytest.raises(ValidationError, match="no admissible rotation level exists"):
+                _suggest_cutoff(beta, freq, excess)
+        else:
+            assert _suggest_cutoff(beta, freq, excess) == expected
+    assert 1 <= failing < len(cases) // 2
 
 
 @pytest.mark.parametrize("entropy", [30.0, 40.0, 50.0])
