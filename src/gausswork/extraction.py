@@ -450,7 +450,7 @@ def _sweep(
         warnings.warn(
             f"final energy differs from the spectral floor by {gap:.3e}",
             OptimalityWarning,
-            stacklevel=3,
+            stacklevel=3,  # past the public entry point, to its caller
         )
     return ExtractionReport(
         initial_energy=initial_energy,
@@ -475,8 +475,8 @@ def gaussian_ergotropy(
 
     The sweep of nmode_gaussian_ergotropy on its one pair, reported with
     sweeps=None.  The steps lower the mean energy monotonically down to the
-    spectral floor; already-passive states yield zero work and an empty
-    protocol.
+    spectral floor; an already-passive state yields zero work and no step
+    beyond removing first moments above 1e-13.
     """
     if state.n_modes != 2:
         raise ValidationError("gaussian_ergotropy expects a two-mode state")

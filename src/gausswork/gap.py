@@ -12,6 +12,7 @@ Three constructions, all verifiable against the Fock oracle:
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
 import math
 import sys
@@ -265,16 +266,10 @@ def _suggest_cutoff(beta: float, freq: float, excess: float) -> int:
     def admits(n):
         return n * (p0 - p0 * q**n) >= excess
 
-    lo, hi = 3, 99999
-    if not admits(hi):
+    levels = range(3, 100000)
+    if not admits(levels[-1]):
         raise ValidationError("no admissible rotation level exists")
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if admits(mid):
-            hi = mid
-        else:
-            lo = mid + 1
-    return 2 * lo
+    return 2 * levels[bisect.bisect_left(levels, True, key=admits)]
 
 
 @dataclasses.dataclass(frozen=True)
