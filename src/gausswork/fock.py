@@ -25,7 +25,7 @@ from .exceptions import (
     TruncationWarning,
     ValidationError,
 )
-from .ops import GaussianOp
+from .ops import GaussianOp, compose, inverse, rotation, squeeze, two_mode_squeeze
 
 TAIL_WARN = 1e-8
 TAIL_ERROR = 1e-4
@@ -486,76 +486,149 @@ def apply_gaussian_unitary(
     )
 
 
-class _BudgetExhausted(Exception):
-    pass
+class _SolveStopped(Exception):
+    """The evaluation count reached the cap of the running local solve."""
 
 
-def _local_rows(theta: float, r: float, phi: float) -> tuple[float, ...]:
-    """Row-major entries of rotation(theta) @ diag(e^-r, e^r) @ rotation(phi)."""
-    ct, st = math.cos(theta), math.sin(theta)
-    cf, sf = math.cos(phi), math.sin(phi)
-    em, ep = math.exp(-r), math.exp(r)
-    return (
-        ct * cf * em - st * sf * ep,
-        ct * sf * em + st * cf * ep,
-        -st * cf * em - ct * sf * ep,
-        ct * cf * ep - st * sf * em,
-    )
+def _turn(u: float, v: float, c: float, s: float) -> tuple[float, float]:
+    """(u, v) turned by the angle whose cosine is c and sine is s."""
+    return c * u + s * v, c * v - s * u
+
+
+def _boost(u: float, v: float, ch: float, sh: float) -> tuple[float, float]:
+    """(u, v) boosted by the rapidity whose cosh is ch and sinh is sh."""
+    return ch * u - sh * v, ch * v - sh * u
 
 
 def _family_energy(cov: np.ndarray, freqs: np.ndarray):
-    """Energy above vacuum of ``cov`` after the ten-parameter search family.
+    r"""Least energy above vacuum of ``cov`` over the search family, and its gradient.
 
     The family is local, local, squeeze, realign, split: ``S = B(tb) @
-    diag(R(u1), R(u2)) @ T(rt) @ diag(L(t1, r1, f1), L(t2, r2, f2))`` with
-    parameters ``(t1, r1, f1, t2, r2, f2, rt, u1, u2, tb)``, where ``R`` is a
-    rotation, ``L(t, r, f) = R(t) @ diag(e^-r, e^r) @ R(f)``, ``T`` the
-    two-mode squeeze and ``B`` the beam splitter.  Returns a function of that
-    parameter vector that builds the four rows of ``S`` in closed form and
-    takes their quadratic forms against ``cov`` directly, since the energy
-    needs only the diagonal of ``S @ cov @ S.T``.
+    diag(R(u1), R(u2)) @ T(rt) @ diag(L(t1, r1, f1), L(t2, r2, f2))``, where
+    ``R`` is a rotation, ``L(t, r, f) = R(t) @ diag(e^-r, e^r) @ R(f)``, ``T``
+    the two-mode squeeze and ``B`` the beam splitter.  Four of its ten
+    parameters have closed forms.  Write ``M = A cov A^T`` for ``A = T(rt) @
+    diag(L1, L2)``, ``T0`` and ``T1`` for the traces of its mode blocks and
+    ``C`` for its cross block:
+
+    - ``t2`` is a gauge: ``T`` commutes with ``diag(R(phi), R(-phi))``, so
+      ``t2`` moves into ``t1`` and the realign angles;
+    - in ``tb`` the energy is ``e0 + e1 cos 2tb + e2 sin 2tb``, least at
+      ``e0 - sqrt(e1^2 + e2^2)``;
+    - the realign angles act through ``tr(R(u1 - u2) C)``, whose largest
+      magnitude is ``sqrt((C00 + C11)^2 + (C10 - C01)^2)``.
+
+    So over ``(t2, u1, u2, tb)`` the least energy is ``(w0 + w1)(T0 + T1 -
+    4)/8 - |w0 - w1|/4 sqrt(((T0 - T1)/2)^2 + (C00 + C11)^2 + (C10 -
+    C01)^2)``, attained at concrete angles.  Returns a function of ``p = (t1,
+    r1, f1, r2, f2, rt)`` giving that energy and its gradient.
+
+    In closed form: write a mode block as ``k0 1 + k1 Z + k2 X`` and the cross
+    block as ``c0 1 + c1 Z + c2 X + c3 J`` (``Z = diag(1, -1)``, ``X`` the
+    swap, ``J = [[0, 1], [-1, 0]]``).  Rotating a mode by ``theta`` turns its
+    ``(k1, k2)`` by ``2 theta``, and its squeeze boosts ``(k0, k1)`` by
+    ``2r``; ``R(a) C R(b)^T`` turns the cross ``(c3, c0)`` by ``a - b`` and
+    ``(c1, c2)`` by ``a + b``, and the squeezes boost ``(c0, c1)`` by ``r1 +
+    r2`` and ``(c2, c3)`` by ``r1 - r2``.  With ``p``, ``q`` the final mode
+    blocks and ``ch, sh = cosh 2rt, sinh 2rt``: ``T0 + T1 = 2 ch (p0 + q0) + 4
+    sh c1``, ``T0 - T1 = 2 (p0 - q0)``, ``C00 + C11 = 2 ch c0 + sh (p1 + q1)``
+    and ``C10 - C01 = -2 ch c3 + sh (p2 - q2)``.  The gradient runs the same
+    turns and boosts backwards.  A point whose energy overflows gets ``inf``.
     """
     (g00, g01, g02, g03), (_, g11, g12, g13), (_, _, g22, g23), (_, _, _, g33) = (
         np.asarray(cov, dtype=float).tolist()
     )
     w0, w1 = (float(w) for w in freqs)
+    a, b, shift = (w0 + w1) / 8.0, abs(w0 - w1) / 4.0, (w0 + w1) / 2.0
+    mode0 = ((g00 + g11) / 2.0, (g00 - g11) / 2.0, g01)
+    mode1 = ((g22 + g33) / 2.0, (g22 - g33) / 2.0, g23)
+    cross = ((g02 + g13) / 2.0, (g02 - g13) / 2.0, (g03 + g12) / 2.0, (g03 - g12) / 2.0)
 
-    def quad(v0, v1, v2, v3):
-        return (
-            g00 * v0 * v0
-            + g11 * v1 * v1
-            + g22 * v2 * v2
-            + g33 * v3 * v3
-            + 2.0 * (v0 * (g01 * v1 + g02 * v2 + g03 * v3) + v1 * (g12 * v2 + g13 * v3))
-            + 2.0 * g23 * v2 * v3
+    def energy(p) -> tuple[float, list[float]]:
+        t1, r1, f1, r2, f2, rt = np.asarray(p, dtype=float).tolist()
+        try:
+            cf1, sf1 = math.cos(2.0 * f1), math.sin(2.0 * f1)
+            ch1, sh1 = math.cosh(2.0 * r1), math.sinh(2.0 * r1)
+            ct1, st1 = math.cos(2.0 * t1), math.sin(2.0 * t1)
+            cf2, sf2 = math.cos(2.0 * f2), math.sin(2.0 * f2)
+            ch2, sh2 = math.cosh(2.0 * r2), math.sinh(2.0 * r2)
+            cm, sm = math.cos(f1 - f2), math.sin(f1 - f2)
+            cp, sp = math.cos(f1 + f2), math.sin(f1 + f2)
+            chs, shs = math.cosh(r1 + r2), math.sinh(r1 + r2)
+            chd, shd = math.cosh(r1 - r2), math.sinh(r1 - r2)
+            ct, st = math.cos(t1), math.sin(t1)
+            ch, sh = math.cosh(2.0 * rt), math.sinh(2.0 * rt)
+        except OverflowError:
+            return math.inf, [0.0] * 6
+        # forward: mode 0, mode 1, then the cross block, stage by stage
+        a1, a2 = _turn(mode0[1], mode0[2], cf1, sf1)
+        p0, b1 = _boost(mode0[0], a1, ch1, sh1)
+        p1, p2 = _turn(b1, a2, ct1, st1)
+        e1, q2 = _turn(mode1[1], mode1[2], cf2, sf2)
+        q0, q1 = _boost(mode1[0], e1, ch2, sh2)
+        x3, x0 = _turn(cross[3], cross[0], cm, sm)
+        x1, x2 = _turn(cross[1], cross[2], cp, sp)
+        y0, y1 = _boost(x0, x1, chs, shs)
+        y2, y3 = _boost(x2, x3, chd, shd)
+        c3, c0 = _turn(y3, y0, ct, st)
+        c1, c2 = _turn(y1, y2, ct, st)
+        d = p0 - q0
+        x = 2.0 * ch * c0 + sh * (p1 + q1)
+        y = -2.0 * ch * c3 + sh * (p2 - q2)
+        root = math.hypot(d, x, y)
+        value = a * (2.0 * ch * (p0 + q0) + 4.0 * sh * c1) - b * root - shift
+        # backward: kd, kx, ky are the root's weights; 0 where it has no gradient
+        kd = kx = ky = 0.0
+        if root > 0.0:
+            kd, kx, ky = b * d / root, b * x / root, b * y / root
+        g_rt = 2.0 * (
+            a * (2.0 * sh * (p0 + q0) + 4.0 * ch * c1)
+            - kx * (2.0 * sh * c0 + ch * (p1 + q1))
+            - ky * (ch * (p2 - q2) - 2.0 * sh * c3)
         )
-
-    def energy(p) -> float:
-        t1, r1, f1, t2, r2, f2, rt, u1, u2, tb = np.asarray(p, dtype=float).tolist()
-        a0, a1, b0, b1 = _local_rows(t1, r1, f1)
-        c0, c1, d0, d1 = _local_rows(t2, r2, f2)
-        # Two-mode squeeze gives rows (ch a, sh c), (ch b, -sh d), (sh a, ch c),
-        # (-sh b, ch d); realign rotates rows 0,1 by u1 and rows 2,3 by u2.
-        ch, sh = math.cosh(rt), math.sinh(rt)
-        k, s = math.cos(u1), math.sin(u1)
-        x00, x01 = ch * (k * a0 + s * b0), ch * (k * a1 + s * b1)
-        y00, y01 = sh * (k * c0 - s * d0), sh * (k * c1 - s * d1)
-        x10, x11 = ch * (k * b0 - s * a0), ch * (k * b1 - s * a1)
-        y10, y11 = -sh * (k * d0 + s * c0), -sh * (k * d1 + s * c1)
-        k, s = math.cos(u2), math.sin(u2)
-        x20, x21 = sh * (k * a0 - s * b0), sh * (k * a1 - s * b1)
-        y20, y21 = ch * (k * c0 + s * d0), ch * (k * c1 + s * d1)
-        x30, x31 = -sh * (k * b0 + s * a0), -sh * (k * b1 + s * a1)
-        y30, y31 = ch * (k * d0 - s * c0), ch * (k * d1 - s * c1)
-        # The beam splitter maps rows (0, 2) to (k r0 + s r2, s r0 - k r2), likewise (1, 3).
-        k, s = math.cos(tb), math.sin(tb)
-        q0 = quad(k * x00 + s * x20, k * x01 + s * x21, k * y00 + s * y20, k * y01 + s * y21)
-        q1 = quad(k * x10 + s * x30, k * x11 + s * x31, k * y10 + s * y30, k * y11 + s * y31)
-        q2 = quad(s * x00 - k * x20, s * x01 - k * x21, s * y00 - k * y20, s * y01 - k * y21)
-        q3 = quad(s * x10 - k * x30, s * x11 - k * x31, s * y10 - k * y30, s * y11 - k * y31)
-        return (w0 * (q0 + q1 - 2.0) + w1 * (q2 + q3 - 2.0)) / 4.0
+        bp0, bp1, bp2 = 2.0 * a * ch - kd, -sh * kx, -sh * ky
+        bq0, bq1, bq2 = 2.0 * a * ch + kd, -sh * kx, sh * ky
+        bc0, bc1, bc3 = -2.0 * ch * kx, 4.0 * a * sh, 2.0 * ch * ky
+        g_t1 = 2.0 * (bp1 * p2 - bp2 * p1) + bc3 * c0 - bc0 * c3 + bc1 * c2
+        bp1, bp2 = _turn(bp1, bp2, ct1, -st1)
+        g_r1 = -2.0 * (bp0 * b1 + bp1 * p0)
+        bp0, bp1 = _boost(bp0, bp1, ch1, sh1)
+        g_f1 = 2.0 * (bp1 * a2 - bp2 * a1)
+        g_r2 = -2.0 * (bq0 * q1 + bq1 * q0)
+        bq0, bq1 = _boost(bq0, bq1, ch2, sh2)
+        g_f2 = 2.0 * (bq1 * q2 - bq2 * e1)
+        bc3, bc0 = _turn(bc3, bc0, ct, -st)
+        bc1, bc2 = _turn(bc1, 0.0, ct, -st)
+        g_sum, g_dif = -(bc0 * y1 + bc1 * y0), -(bc2 * y3 + bc3 * y2)
+        bc0, bc1 = _boost(bc0, bc1, chs, shs)
+        bc2, bc3 = _boost(bc2, bc3, chd, shd)
+        g_m, g_p = bc3 * x0 - bc0 * x3, bc1 * x2 - bc2 * x1
+        grad = [g_t1, g_r1 + g_sum + g_dif, g_f1 + g_m + g_p, g_r2 + g_sum - g_dif, g_f2 + g_p - g_m, g_rt]
+        if not math.isfinite(value + sum(grad)):
+            return math.inf, [0.0] * 6
+        return value, grad
 
     return energy
+
+
+def _family_ops(p) -> list[GaussianOp]:
+    """The family's operations before its passive tail, for p = (t1, r1, f1, r2, f2, rt)."""
+    t1, r1, f1, r2, f2, rt = p
+    return [
+        rotation(f1, 0, 2),
+        squeeze(r1, 0, 2),
+        rotation(t1, 0, 2),
+        rotation(f2, 1, 2),
+        squeeze(r2, 1, 2),
+        two_mode_squeeze(rt),
+    ]
+
+
+# The family's angles are polar coordinates about r1 = r2 = rt = 0, so the
+# re-centred polish starts away from there, where every direction has a parameter.
+_POLISH_START = np.array([0.0, 0.5, 0.0, 0.5, 0.0, 0.5])
+_TO_POLISH_START = [inverse(op) for op in reversed(_family_ops(_POLISH_START))]
+_POLISH_ROUNDS = 4
 
 
 def brute_force_min_energy(
@@ -567,64 +640,98 @@ def brute_force_min_energy(
 ) -> float:
     """Direct-search floor for the Gaussian-reachable energy of a two-mode state.
 
-    Runs seeded multi-start Nelder-Mead over a ten-parameter family of
-    symplectics (two general local operations, a two-mode squeeze, two
-    realigning rotations, a beam splitter) after zeroing the first moments.
-    Exceeding the evaluation budget returns best-so-far with a warning.
+    Runs seeded multi-start BFGS with the analytic gradient of
+    ``_family_energy`` (two local operations and a two-mode squeeze, with the
+    passive tail in closed form) after zeroing the first moments.  The polish
+    then re-centres: it moves the covariance by the best point's operations
+    and searches again from ``_POLISH_START``, so a strongly squeezed state is
+    searched where its energy is well conditioned; it repeats while that
+    lowers the energy, at most ``_POLISH_ROUNDS`` times.  Every value the search
+    sees is the energy of a concrete Gaussian unitary, and it returns the
+    least of them, so the result lies below the true floor only by rounding,
+    which grows with the state's squeezing.  ``maxfev``
+    caps the evaluations of each local solve and ``budget`` those of the
+    whole call; an exhausted budget returns best-so-far with a
+    ``BudgetWarning``.
+
+    Logs one ``fock.search`` debug record on the ``gausswork`` logger with
+    ``starts``, ``evaluations``, the local solves that ``converged`` and those
+    stopped at ``maxfev`` (``capped``), ``budget_exhausted`` and ``seconds``;
+    the fields are also attributes of the record.
     """
     if state.n_modes != 2:
         raise ValidationError("brute_force_min_energy expects a two-mode state")
     if starts < 1:
         raise ValidationError("need at least one start")
+    if maxfev < 1:
+        raise ValidationError("need at least one evaluation per local solve")
+    if budget is not None and budget < 1:
+        raise ValidationError("evaluation budget must be at least 1")
+    began = time.perf_counter()
+    frame = np.eye(4)  # the search moves frame @ cov @ frame.T
     energy = _family_energy(state.cov, state.freqs)
-    evals = 0
+    limit = math.inf if budget is None else budget
+    evals = cap = converged = capped = 0
+    best, best_x = math.inf, np.zeros(6)
 
     def objective(p):
-        nonlocal evals
-        if budget is not None and evals >= budget:
-            raise _BudgetExhausted
+        nonlocal evals, best, best_x
+        if evals >= cap:
+            raise _SolveStopped
         evals += 1
-        return energy(p)
+        value, grad = energy(p)
+        if value < best:
+            best, best_x = value, np.array(p, dtype=float)
+        return value, grad
+
+    def solve(x0, gtol) -> bool:
+        """One local BFGS solve; False when the budget ran out during it."""
+        nonlocal cap, converged, capped
+        cap = min(evals + maxfev, limit)
+        try:
+            minimize(objective, x0, jac=True, method="BFGS", options={"gtol": gtol})
+        except _SolveStopped:
+            if evals >= limit:
+                return False
+            capped += 1
+        else:
+            converged += 1
+        return True
 
     rng = np.random.default_rng(seed)
-    points = [np.zeros(10)]
+    points = [np.zeros(6)]
     for _ in range(starts - 1):
-        p0 = rng.uniform(-1.0, 1.0, 10)
-        p0[[0, 2, 3, 5, 7, 8, 9]] *= math.pi
+        p0 = rng.uniform(-1.0, 1.0, 6)
+        p0[[0, 2, 4]] *= math.pi
         points.append(p0)
 
-    best = math.inf
-    best_x = points[0]
-    exhausted = False
-    for p0 in points:
-        try:
-            res = minimize(
-                objective,
-                p0,
-                method="Nelder-Mead",
-                options={"maxfev": maxfev, "fatol": 1e-12, "xatol": 1e-10},
-            )
-        except _BudgetExhausted:
-            exhausted = True
+    exhausted = not all(solve(p0, 1e-8) for p0 in points)
+    for _ in range(0 if exhausted else _POLISH_ROUNDS):
+        reached = best
+        frame = compose(_family_ops(best_x) + _TO_POLISH_START).block @ frame
+        energy = _family_energy(frame @ state.cov @ frame.T, state.freqs)
+        exhausted = not solve(_POLISH_START, 1e-10)
+        if exhausted or best >= reached:
             break
-        if res.fun < best:
-            best, best_x = float(res.fun), res.x
-    if not exhausted:
-        try:
-            res = minimize(
-                objective,
-                best_x,
-                method="Nelder-Mead",
-                options={"maxfev": maxfev, "fatol": 1e-14, "xatol": 1e-12},
-            )
-            if res.fun < best:
-                best = float(res.fun)
-        except _BudgetExhausted:
-            exhausted = True
     if exhausted:
         warnings.warn(
             f"evaluation budget {budget} exhausted; returning best-so-far",
             BudgetWarning,
             stacklevel=2,
+        )
+    if _log.isEnabledFor(logging.DEBUG):
+        stats = {
+            "starts": starts,
+            "evaluations": evals,
+            "converged": converged,
+            "capped": capped,
+            "budget_exhausted": exhausted,
+            "seconds": time.perf_counter() - began,
+        }
+        _log.debug(
+            "fock.search starts=%(starts)d evaluations=%(evaluations)d converged=%(converged)d "
+            "capped=%(capped)d budget_exhausted=%(budget_exhausted)s seconds=%(seconds).3g",
+            stats,
+            extra=stats,
         )
     return best

@@ -3,6 +3,7 @@
 import logging
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from gausswork import (
     minimal_gaussian_energy,
     moments_of,
     pure_state,
+    symplectic_spectrum,
     thermal_fock_state,
     validate_state,
 )
@@ -417,9 +419,18 @@ def test_brute_force_budget_warning():
         cov=np.diag([1.5, 1.5, 3.0, 3.0]),
     )
     with pytest.warns(BudgetWarning):
-        best = brute_force_min_energy(st, budget=2000)
+        best = brute_force_min_energy(st, budget=100)
     assert math.isfinite(best)
     assert best > minimal_gaussian_energy([3.0, 1.5], [1.0, 2.0]) - 1e-4
+
+
+@pytest.mark.parametrize("budget", [1, 5, 11, 12])
+def test_an_exhausted_budget_returns_the_best_value_seen(budget):
+    st = MomentState(freqs=[1.0, 2.0], x=np.zeros(4), cov=np.diag([1.5, 1.5, 3.0, 3.0]))
+    with pytest.warns(BudgetWarning, match="best-so-far"):
+        best = brute_force_min_energy(st, budget=budget)
+    assert math.isfinite(best)
+    assert best >= minimal_gaussian_energy([3.0, 1.5], [1.0, 2.0]) - 1e-4
 
 
 def _family_matrix(p):
@@ -443,36 +454,186 @@ def _family_matrix(p):
     return bs @ realign @ tms @ locals_
 
 
+def _product_energy(st, p):
+    s = _family_matrix(p)
+    g = s @ st.cov @ s.T
+    w0, w1 = st.freqs
+    return (w0 * (g[0, 0] + g[1, 1] - 2.0) + w1 * (g[2, 2] + g[3, 3] - 2.0)) / 4.0
+
+
+def _random_active_state(rng, r_max=3.0, freqs=None):
+    """Built like criterion 02's bank, with every squeeze drawn from [-r_max, r_max]."""
+    nus = rng.uniform(1.0, 10.0, 2)
+    op = compose(
+        [
+            rotation(rng.uniform(-np.pi, np.pi), 0, 2),
+            squeeze(rng.uniform(-r_max, r_max), 0, 2),
+            rotation(rng.uniform(-np.pi, np.pi), 1, 2),
+            squeeze(rng.uniform(-r_max, r_max), 1, 2),
+            two_mode_squeeze(rng.uniform(-r_max, r_max)),
+            beam_splitter(rng.uniform(-np.pi, np.pi)),
+        ]
+    )
+    cov = op.S @ np.diag([nus[0], nus[0], nus[1], nus[1]]) @ op.S.T
+    freqs = rng.uniform(0.5, 2.5, 2) if freqs is None else freqs
+    return MomentState(freqs=freqs, x=np.zeros(4), cov=cov)
+
+
+def _random_point(rng):
+    """Six family parameters (t1, r1, f1, r2, f2, rt): angles in [-pi, pi], squeezes in [-1, 1]."""
+    p = rng.uniform(-1.0, 1.0, 6)
+    p[[0, 2, 4]] *= math.pi
+    return p
+
+
+def _closed_form_tail(st, p):
+    """The realign difference u1 - u2 and the beam splitter tb that the closed form assumes."""
+    t1, r1, f1, r2, f2, rt = p
+    # B(0) = diag(1, -1) on the mode pairs; undo it to read T(rt) (L1 + L2) alone
+    s = np.diag([1.0, 1.0, -1.0, -1.0]) @ _family_matrix([t1, r1, f1, 0.0, r2, f2, rt, 0.0, 0.0, 0.0])
+    m = s @ st.cov @ s.T
+    cross = m[:2, 2:]
+    x, y = cross[0, 0] + cross[1, 1], cross[1, 0] - cross[0, 1]
+    half_gap = (np.trace(m[:2, :2]) - np.trace(m[2:, 2:])) / 2.0
+    sign = 1.0 if st.freqs[0] >= st.freqs[1] else -1.0
+    return math.atan2(y, x), math.atan2(-sign * math.hypot(x, y), -sign * half_gap) / 2.0
+
+
 def test_family_energy_matches_matrix_products():
+    """The six-parameter energy is the product energy at the closed-form (u1 - u2, tb)."""
     rng = np.random.default_rng(31)
     worst = 0.0
     for _ in range(30):
-        nus = rng.uniform(1.0, 5.0, 2)
-        op = compose(
-            [
-                rotation(rng.uniform(-np.pi, np.pi), 0, 2),
-                squeeze(rng.uniform(-3.0, 3.0), 0, 2),
-                rotation(rng.uniform(-np.pi, np.pi), 1, 2),
-                squeeze(rng.uniform(-3.0, 3.0), 1, 2),
-                two_mode_squeeze(rng.uniform(-3.0, 3.0)),
-                beam_splitter(rng.uniform(-np.pi, np.pi)),
-            ]
-        )
-        cov = op.S @ np.diag([nus[0], nus[0], nus[1], nus[1]]) @ op.S.T
-        st = MomentState(freqs=rng.uniform(0.5, 3.0, 2), x=np.zeros(4), cov=cov)
+        st = _random_active_state(rng)
         energy = _family_energy(st.cov, st.freqs)
         for _ in range(10):
-            p = rng.uniform(-1.0, 1.0, 10)
-            p[[0, 2, 3, 5, 7, 8, 9]] *= math.pi
-            p[[1, 4, 6]] *= 3.0
-            s = _family_matrix(p)
-            g = s @ st.cov @ s.T
-            ref = (
-                st.freqs[0] * (g[0, 0] + g[1, 1] - 2.0)
-                + st.freqs[1] * (g[2, 2] + g[3, 3] - 2.0)
-            ) / 4.0
-            worst = max(worst, abs(energy(p) - ref) / abs(ref))
+            p = _random_point(rng)
+            p[[1, 3, 5]] *= 3.0
+            t1, r1, f1, r2, f2, rt = p
+            u, tb = _closed_form_tail(st, p)
+            ref = _product_energy(st, [t1, r1, f1, 0.0, r2, f2, rt, u, 0.0, tb])
+            worst = max(worst, abs(energy(p)[0] - ref) / abs(ref))
     assert worst < 1e-12
+
+
+def test_family_energy_is_never_above_the_product_energy():
+    rng = np.random.default_rng(32)
+    for _ in range(30):
+        st = _random_active_state(rng)
+        energy = _family_energy(st.cov, st.freqs)
+        for _ in range(10):
+            t1, r1, f1, r2, f2, rt = _random_point(rng)
+            t2, u1, u2, tb = rng.uniform(-np.pi, np.pi, 4)
+            # t2 is a gauge: it moves into t1 (see the next test)
+            value = energy([t1 + t2, r1, f1, r2, f2, rt])[0]
+            ref = _product_energy(st, [t1, r1, f1, t2, r2, f2, rt, u1, u2, tb])
+            assert value <= ref + 1e-12 * abs(ref)
+
+
+def test_family_gauges_leave_the_product_energy_unchanged():
+    """T(rt) commutes with R(phi) + R(-phi), so t2 moves into t1 and the realign;
+    a common realign angle commutes with the beam splitter and leaves each mode's energy."""
+    rng = np.random.default_rng(33)
+    for _ in range(30):
+        st = _random_active_state(rng)
+        t1, r1, f1, r2, f2, rt = _random_point(rng)
+        t2, u1, u2, tb, phi = rng.uniform(-np.pi, np.pi, 5)
+        ref = _product_energy(st, [t1, r1, f1, t2, r2, f2, rt, u1, u2, tb])
+        moved = _product_energy(st, [t1 + t2, r1, f1, 0.0, r2, f2, rt, u1 - t2, u2 + t2, tb])
+        common = _product_energy(st, [t1, r1, f1, t2, r2, f2, rt, u1 + phi, u2 + phi, tb])
+        assert abs(moved - ref) <= 1e-12 * abs(ref)
+        assert abs(common - ref) <= 1e-12 * abs(ref)
+
+
+def test_family_gradient_matches_central_differences():
+    rng = np.random.default_rng(34)
+    h = 1e-6
+    worst = 0.0
+    for _ in range(30):
+        st = _random_active_state(rng, r_max=1.0)
+        energy = _family_energy(st.cov, st.freqs)
+        p = _random_point(rng)
+        _, grad = energy(p)
+        steps = h * np.eye(6)
+        central = [(energy(p + e)[0] - energy(p - e)[0]) / (2.0 * h) for e in steps]
+        scale = max(1.0, float(np.max(np.abs(central))))
+        worst = max(worst, float(np.max(np.abs(np.array(grad) - central))) / scale)
+    assert worst < 1e-6
+
+
+def test_family_energy_overflow_is_infinite_without_warnings():
+    st = _random_active_state(np.random.default_rng(35))
+    energy = _family_energy(st.cov, st.freqs)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for p in ([0.1, 400.0, 0.2, 0.0, 0.3, 0.0], [0.1, 300.0, 0.2, 250.0, 0.3, 200.0]):
+            value, grad = energy(np.array(p))
+            assert value == math.inf
+            assert list(grad) == [0.0] * 6
+
+
+def _floor(st):
+    return minimal_gaussian_energy(symplectic_spectrum(st.cov), st.freqs)
+
+
+@pytest.mark.parametrize("r_max, seed", [(2.0, 23), (3.0, 33)])
+def test_brute_force_reaches_the_floor_on_strongly_squeezed_states(r_max, seed):
+    """Results below the floor come only from rounding, which grows with the squeezing."""
+    rng = np.random.default_rng(seed)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for _ in range(12):
+            st = _random_active_state(rng, r_max=r_max)
+            floor = _floor(st)
+            best = brute_force_min_energy(st)
+            assert -1e-6 <= (best - floor) / max(1.0, abs(floor)) <= 1e-8
+
+
+def test_brute_force_on_equal_thermal_modes_of_distinct_frequencies():
+    st = MomentState(freqs=[1.0, 2.0], x=np.zeros(4), cov=2.5 * np.eye(4))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        best = brute_force_min_energy(st)
+    assert abs(best - minimal_gaussian_energy([2.5, 2.5], [1.0, 2.0])) <= 1e-12
+
+
+def test_brute_force_on_equal_frequencies():
+    rng = np.random.default_rng(36)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for _ in range(4):
+            st = _random_active_state(rng, r_max=1.0, freqs=[1.5, 1.5])
+            floor = _floor(st)
+            assert abs(brute_force_min_energy(st) - floor) <= 1e-8 * max(1.0, abs(floor))
+
+
+def test_brute_force_survives_overflowing_line_searches():
+    rng = np.random.default_rng(37)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for _ in range(2):
+            st = _random_active_state(rng, r_max=4.0)
+            floor = _floor(st)
+            best = brute_force_min_energy(st)
+            assert abs(best - floor) <= 1e-6 * max(1.0, abs(floor))
+
+
+def test_brute_force_logs_one_record_per_call(caplog):
+    st = MomentState(freqs=[1.0, 2.0], x=np.zeros(4), cov=np.diag([1.5, 1.5, 3.0, 3.0]))
+    with caplog.at_level(logging.DEBUG, logger="gausswork"):
+        brute_force_min_energy(st, starts=3)
+        with pytest.warns(BudgetWarning):
+            brute_force_min_energy(st, budget=20)
+        brute_force_min_energy(st, starts=2, maxfev=1)
+    records = [r for r in caplog.records if r.getMessage().startswith("fock.search")]
+    assert len(records) == 3
+    full, short, capped = records
+    assert full.levelno == logging.DEBUG
+    assert (full.starts, full.capped, full.budget_exhausted) == (3, 0, False)
+    assert full.converged >= 4  # three starts and at least one polish round
+    assert full.evaluations > 0 and full.seconds >= 0.0
+    assert short.budget_exhausted is True and short.evaluations == 20
+    assert capped.capped >= 1 and capped.evaluations == capped.capped + capped.converged
 
 
 def test_brute_force_argument_contracts():
@@ -482,6 +643,10 @@ def test_brute_force_argument_contracts():
     two = MomentState(freqs=[1.0, 1.0], x=np.zeros(4), cov=np.eye(4))
     with pytest.raises(ValidationError):
         brute_force_min_energy(two, starts=0)
+    with pytest.raises(ValidationError):
+        brute_force_min_energy(two, maxfev=0)
+    with pytest.raises(ValidationError):
+        brute_force_min_energy(two, budget=0)
 
 
 def test_moments_feed_the_validator():
