@@ -246,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("path")
     p.add_argument("--out", default=None, help="write the protocol JSON here")
     p.add_argument("--trace", default=None, help="write the CSV trace table here")
-    p.add_argument("--tol", type=float, default=CONVERGENCE_TOL)
+    p.add_argument("--tol", type=float, default=CONVERGENCE_TOL, help="per-pair |c1 - c2| bound")
     p.add_argument("--max-iters", type=int, default=MAX_ITERS)
     p.add_argument(
         "--nmode", action="store_true",

@@ -83,7 +83,7 @@ class ExtractionReport:
     certificate: PassivityVerdict
     spectrum: np.ndarray
     optimality_gap: float
-    sweeps: int | None = None
+    sweeps: int | None = None  # whole-state verdicts taken; None on two-mode reports
 
 
 def _mode_block(cov: np.ndarray, m: int) -> np.ndarray:
@@ -404,7 +404,11 @@ def _sweep(
     max_sweeps: int,
     passivity_tol: float,
 ) -> ExtractionReport:
-    """Displace, then run the two-mode pipeline over mode pairs until the state is passive."""
+    """Displace, then run the two-mode pipeline over mode pairs to a fixed point.
+
+    Each sweep opens with the whole-state certificate; the sweeps end when it is
+    passive, or when a sweep emits no step and so leaves the state it certified.
+    """
     require_valid(state)
     initial_energy = mean_energy(state)
     spectrum = symplectic_spectrum(state.cov)
@@ -418,8 +422,7 @@ def _sweep(
         certificate = all_pairs_gaussian_passive(state, passivity_tol)
         if certificate.passive:
             break
-        energy_before = run.energy
-        regrouped = False
+        emitted = len(run.steps)
         for i, j in itertools.combinations(range(n), 2):
             if n == 2:  # the pair is the whole state
                 pair = certificate
@@ -430,12 +433,8 @@ def _sweep(
                 )
             if pair.clause == "i":
                 continue
-            # a coupled equal-frequency pair is passive on its own, but
-            # splitting it (at no energy cost) can expose a misordering
-            regrouped = regrouped or pair.passive
             state = _pair_extract(state, i, j, run, tol, max_iters)
-        if energy_before - run.energy <= tol and not regrouped:
-            certificate = all_pairs_gaussian_passive(state, passivity_tol)
+        if len(run.steps) == emitted:
             break
     else:
         raise ConvergenceError(
@@ -494,8 +493,7 @@ def nmode_gaussian_ergotropy(
 
     Lexicographic mode pairs are processed with the two-mode pipeline
     (embedded in the full system) until the whole state is passive or a
-    sweep stops lowering the energy; gaussian_ergotropy is this sweep at
-    two modes.
+    sweep emits no step; gaussian_ergotropy is this sweep at two modes.
     """
     if state.n_modes < 2:
         raise ValidationError("nmode_gaussian_ergotropy expects at least two modes")
