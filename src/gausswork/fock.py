@@ -1,21 +1,25 @@
 r"""Truncated Fock-space oracle for one- and two-mode computations.
 
 Everything here is independent of the moment-level code paths: states are
-density matrices on a photon-number cutoff, operations are matrix
-exponentials of their quadratic generators, and energies come from number
-operators.  Used to cross-check the closed-form moment machinery.
+density matrices on a photon-number cutoff, operations are exponentials of
+their quadratic generators truncated on an enlarged register, and energies
+come from number operators.  Each non-diagonal generator splits into real
+antisymmetric tridiagonal chains (parity ladders, conserved sectors), whose
+exponentials come in closed form from eigenbases cached per cutoff and are
+only ever formed on the cutoff's own levels.  Used to cross-check the
+closed-form moment machinery.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import logging
 import math
 import time
 import warnings
 
 import numpy as np
-import scipy.linalg
 from scipy.optimize import minimize
 
 from .core import MomentState
@@ -298,65 +302,143 @@ def energy_of(rho: TruncatedDensityMatrix) -> float:
     return total
 
 
+def _spectrum(rho: TruncatedDensityMatrix) -> np.ndarray:
+    """Eigenvalues of rho, ascending, from its r x r components' Gram matrix.
+
+    rho = A A^H for A = V sqrt(w), and A^H A = sqrt(w) V^H V sqrt(w) has the
+    same nonzero eigenvalues; those of rho it lacks are zero.
+    """
+    weights, vectors = rho._component_parts()
+    scaled = vectors * np.sqrt(weights)
+    return np.linalg.eigvalsh(scaled.conj().T @ scaled)
+
+
 def entropy_of(rho: TruncatedDensityMatrix) -> float:
     """Von Neumann entropy -sum p ln p of the truncated matrix."""
-    eigs = np.linalg.eigvalsh(rho.dense())
+    eigs = _spectrum(rho)
     eigs = eigs[eigs > 1e-15]
     return float(-np.sum(eigs * np.log(eigs)))
 
 
 def ergotropy_of(rho: TruncatedDensityMatrix) -> float:
-    """Energy above the passive arrangement of the same eigenvalues."""
+    """Energy above the passive arrangement of the same eigenvalues.
+
+    The zero eigenvalues that the component spectrum leaves out pair with
+    the highest levels and add nothing to the passive energy.
+    """
     _require_tail(rho, "ergotropy_of")
-    eigs = np.sort(np.linalg.eigvalsh(rho.dense()))[::-1]
+    eigs = _spectrum(rho)[::-1]
     levels = np.zeros(rho.dim**rho.n_modes)
     for w, occ in zip(rho.freqs, _occupations(rho.dim, rho.n_modes)):
         levels += w * occ
-    levels = np.sort(levels)
-    passive_energy = float(np.clip(eigs, 0.0, None) @ levels)
+    k = min(eigs.size, levels.size)
+    passive_energy = float(np.clip(eigs[:k], 0.0, None) @ np.sort(levels)[:k])
     return energy_of(rho) - passive_energy
 
 
+_I_POWERS = np.array([1.0, 1.0j, -1.0, -1.0j])
+
+
+def _chain(amps: np.ndarray, kept: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Kept rows of D V and the eigenvalues Λ for a chain with off-diagonal amps.
+
+    T (amps above the diagonal, -amps below) is D (i H) D* for the symmetric
+    H = V Λ V^T with the same off-diagonal and D = diag(i^k), so
+    exp(t T) = (D V) e^{i t Λ} (D V)^H; ``_chain_block`` evaluates it.
+    """
+    h = np.diag(amps, 1) + np.diag(amps, -1)
+    eigs, vecs = np.linalg.eigh(h)
+    rows = _I_POWERS[kept % 4, None] * vecs[kept]
+    rows.setflags(write=False)
+    eigs.setflags(write=False)
+    return rows, eigs
+
+
+def _chain_block(chain: tuple[np.ndarray, np.ndarray], t: float) -> np.ndarray:
+    """exp(t T) on a chain's kept levels; real, since T is."""
+    rows, eigs = chain
+    return ((rows * np.exp(1j * t * eigs)) @ rows.conj().T).real
+
+
+@functools.lru_cache(maxsize=CUTOFF_CAP)
+def _bases(kind: str, dim: int) -> list[tuple]:
+    """``(levels, chain)`` per tridiagonal chain of a kind's generator at a cutoff.
+
+    Each generator is built on the internal register of ``_internal_dim(dim)``
+    levels per mode, and each chain keeps only its rows below the cutoff:
+    the squeeze's even and odd ladders, the displacement's one ladder, a
+    two-mode squeeze's photon-number-difference sectors and a beam
+    splitter's total-number sectors.  ``levels`` are the kept levels, as an
+    array for one mode and an ``(n_a, n_b)`` pair for two.  Raising along a
+    chain moves below its diagonal, so a generator ``t (R - R^T)`` with
+    ``R`` raising is the chain's ``T`` at ``-t``.  Logs one ``fock.bases``
+    debug record when a basis is built.
+    """
+    start = time.perf_counter()
+    size = _internal_dim(dim)
+    sectors = []
+    if kind == "squeeze":
+        for parity in (0, 1):
+            n = np.arange(parity, size, 2)
+            kept = np.flatnonzero(n < dim)
+            sectors.append((n[kept], _chain(0.5 * np.sqrt((n[:-1] + 1.0) * (n[:-1] + 2.0)), kept)))
+    elif kind == "displacement":
+        sectors.append((np.arange(dim), _chain(np.sqrt(np.arange(1.0, size)), np.arange(dim))))
+    elif kind == "two_mode_squeeze":
+        for d in range(-(dim - 1), dim):
+            nb = np.arange(max(0, -d), size - max(0, d))
+            na = nb + d
+            kept = np.flatnonzero((na < dim) & (nb < dim))
+            sectors.append(((na[kept], nb[kept]), _chain(np.sqrt((na[:-1] + 1.0) * (nb[:-1] + 1.0)), kept)))
+    else:  # beam_splitter
+        for total in range(2 * dim - 1):
+            na = np.arange(max(0, total - (size - 1)), min(total, size - 1) + 1)
+            nb = total - na
+            kept = np.flatnonzero((na < dim) & (nb < dim))
+            sectors.append(((na[kept], nb[kept]), _chain(np.sqrt((na[:-1] + 1.0) * nb[:-1]), kept)))
+    if _log.isEnabledFor(logging.DEBUG):
+        stats = {"kind": kind, "cutoff": dim, "sectors": len(sectors), "seconds": time.perf_counter() - start}
+        _log.debug(
+            "fock.bases kind=%(kind)s cutoff=%(cutoff)d sectors=%(sectors)d seconds=%(seconds).3g",
+            stats,
+            extra=stats,
+        )
+    return sectors
+
+
 def _single_mode_unitary(kind: str, params: dict, dim: int) -> np.ndarray:
-    """A one-mode unitary on dim levels: phases for a rotation, else a dense block."""
+    """A one-mode unitary on the cutoff's levels: phases for a rotation, else a dense block."""
     if kind == "rotation":
         return np.exp(-1j * params["theta"] * np.arange(dim))
-    a = ladder(dim)
-    ad = a.T
     if kind == "squeeze":
-        r = params["r"]
-        return scipy.linalg.expm(0.5 * r * (a @ a - ad @ ad))
+        block = np.zeros((dim, dim))
+        for levels, chain in _bases("squeeze", dim):
+            block[np.ix_(levels, levels)] = _chain_block(chain, params["r"])
+        return block
     if kind == "displacement":
+        # exp(alpha a' - alpha* a) = e^{i phi n} exp(|alpha| (a' - a)) e^{-i phi n}
         alpha = params["alpha"]
-        return scipy.linalg.expm(alpha * ad - np.conj(alpha) * a)
+        [(levels, chain)] = _bases("displacement", dim)
+        phases = np.exp(1j * np.angle(alpha) * levels)
+        return phases[:, None] * _chain_block(chain, -abs(alpha)) * phases.conj()
     raise ValidationError(f"unsupported single-mode kind {kind!r}")
 
 
 def _tms_sectors(r: float, dim: int) -> list:
     """exp[r (a'b' - ab)] as ((n_a, n_b), block) per photon-number-difference sector."""
-    sectors = []
-    for d in range(-(dim - 1), dim):
-        nb = np.arange(max(0, -d), min(dim, dim - d))
-        na = nb + d
-        amp = r * np.sqrt((na[:-1] + 1.0) * (nb[:-1] + 1.0))
-        sectors.append(((na, nb), scipy.linalg.expm(np.diag(amp, -1) - np.diag(amp, 1))))
-    return sectors
+    return [(levels, _chain_block(chain, -r)) for levels, chain in _bases("two_mode_squeeze", dim)]
 
 
 def _bs_sectors(theta: float, dim: int) -> list:
     """Mode-b parity times exp[theta (a'b - ab')] as ((n_a, n_b), block) per total-number sector."""
-    sectors = []
-    for total in range(2 * dim - 1):
-        na = np.arange(max(0, total - (dim - 1)), min(total, dim - 1) + 1)
-        nb = total - na
-        amp = theta * np.sqrt((na[:-1] + 1.0) * nb[:-1])
-        u = scipy.linalg.expm(np.diag(amp, -1) - np.diag(amp, 1))
-        sectors.append(((na, nb), (1.0 - 2.0 * (nb % 2))[:, None] * u))
-    return sectors
+    return [
+        ((na, nb), (1.0 - 2.0 * (nb % 2))[:, None] * _chain_block(chain, -theta))
+        for (na, nb), chain in _bases("beam_splitter", dim)
+    ]
 
 
 def _unitary_factors(op: GaussianOp, dim: int) -> list[tuple]:
-    """The op's unitary on dim levels per mode as ``(modes, block)`` factors.
+    """The op's unitary on the cutoff's dim levels per mode as ``(modes, block)`` factors.
 
     A one-mode factor holds the phases or the dense dim x dim block for its
     tensor axis; a two-mode factor holds the dense blocks of its conserved
@@ -404,36 +486,34 @@ def _apply_sectors(t: np.ndarray, sectors: list, modes: tuple[int, ...]) -> np.n
 
 
 def _apply_factors(factors: list[tuple], vectors: np.ndarray, dim: int, n_modes: int) -> np.ndarray:
-    """U v for each column of a dim^n stack, on the internal register, projected back."""
-    dim_int = _internal_dim(dim)
+    """U v for each column of a dim^n stack, with U given by its factors on the kept levels."""
     r = vectors.shape[1]
-    kept = (slice(dim),) * n_modes
-    t = np.zeros((dim_int,) * n_modes + (r,), dtype=complex)
-    t[kept] = vectors.reshape((dim,) * n_modes + (r,))
+    t = np.ascontiguousarray(vectors).reshape((dim,) * n_modes + (r,))
     for modes, block in factors:
         if len(modes) == 2:
             t = _apply_sectors(t, block, modes)
         elif block.ndim == 1:
-            t *= block.reshape((-1,) + (1,) * (n_modes - modes[0]))
+            t = t * block.reshape((-1,) + (1,) * (n_modes - modes[0]))
         elif modes[0] == 0:
-            t = _matmul(block, t.reshape(dim_int, -1)).reshape(t.shape)
+            t = _matmul(block, t.reshape(dim, -1)).reshape(t.shape)
         else:
             t = _matmul(block, t)  # contracts axis 1 for each level of axis 0
-    return np.ascontiguousarray(t[kept].reshape(dim**n_modes, r))
+    return t.reshape(dim**n_modes, r)
 
 
 def gaussian_unitary_matrix(op: GaussianOp, dim: int) -> np.ndarray:
     """Truncated unitary at the requested cutoff.
 
-    The cutoff's identity columns go through the same path as
-    ``apply_gaussian_unitary``: embedded in an enlarged internal space (1.5x,
-    at least +10 levels), transformed there and projected back down, so matrix
-    elements within the cutoff are accurate for low-energy states.  Raises
-    when the cutoff is too small for the parameter magnitude (measured by mass
-    the vacuum image loses to the discarded levels).
+    Each generator is truncated on an enlarged internal register (1.5x, at
+    least +10 levels), so matrix elements within the cutoff are accurate for
+    low-energy states; only the elements between kept levels are computed,
+    by the same factors as ``apply_gaussian_unitary`` applied to the
+    cutoff's identity columns.  Raises when the cutoff is too small for the
+    parameter magnitude (measured by mass the vacuum image loses to the
+    discarded levels).
     """
     _check_dim(dim)
-    factors = _unitary_factors(op, _internal_dim(dim))
+    factors = _unitary_factors(op, dim)
     eye = np.eye(dim**op.n_modes, dtype=complex)
     projected = _apply_factors(factors, eye, dim, op.n_modes)
     vacuum_loss = 1.0 - float(np.sum(np.abs(projected[:, 0]) ** 2))
@@ -448,7 +528,15 @@ def gaussian_unitary_matrix(op: GaussianOp, dim: int) -> np.ndarray:
 def apply_gaussian_unitary(
     op: GaussianOp, rho: TruncatedDensityMatrix
 ) -> TruncatedDensityMatrix:
-    """Conjugate an oracle state by the op's unitary in the enlarged space.
+    """Conjugate an oracle state by the op's unitary, projected onto the cutoff.
+
+    The unitary is that of ``gaussian_unitary_matrix``: the exponential of
+    the generator truncated on the enlarged internal register, restricted to
+    the kept levels.  The input has no weight above the cutoff and the output
+    is projected back onto it, and every factor acts on one mode axis or
+    within one conserved sector, so the restricted factors compose to the
+    restricted product.  Rows at or above the cutoff are never formed; mass
+    the exact image would put there is booked as ``leak``.
 
     Logs one debug record on the ``gausswork`` logger with the op ``kind``,
     the number of component ``columns``, the seconds spent building the
@@ -459,7 +547,7 @@ def apply_gaussian_unitary(
         raise ValidationError("operation and state mode counts differ")
     weights, vectors = rho._component_parts()
     start = time.perf_counter()
-    factors = _unitary_factors(op, _internal_dim(rho.dim))
+    factors = _unitary_factors(op, rho.dim)
     built = time.perf_counter()
     small = _apply_factors(factors, vectors, rho.dim, rho.n_modes)
     kept_mass = float(np.sum(weights * np.sum(np.abs(small) ** 2, axis=0)))

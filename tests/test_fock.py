@@ -32,11 +32,15 @@ from gausswork import (
     thermal_fock_state,
     validate_state,
 )
+from gausswork import fock
 from gausswork.fock import (
     TruncatedDensityMatrix,
+    _bs_sectors,
     _family_energy,
     _internal_dim,
     _population_diagonal,
+    _single_mode_unitary,
+    _tms_sectors,
     mixture,
 )
 from gausswork.ops import (
@@ -126,6 +130,46 @@ def test_ergotropy_values():
     assert np.isclose(ergotropy_of(fock_state(1, [1.0], 20)), 1.0, atol=1e-12)
     th = thermal_fock_state(0.5, [1.0], 40)
     assert abs(ergotropy_of(th)) < 1e-12
+
+
+def _entropy_and_ergotropy_from_dense(rho):
+    """The reference: eigvalsh of the assembled dim^n x dim^n matrix, rho itself left as it is."""
+    eigs = np.linalg.eigvalsh((rho.vectors * rho.weights) @ rho.vectors.conj().T)
+    kept = eigs[eigs > 1e-15]
+    occupations = np.indices((rho.dim,) * rho.n_modes).reshape(rho.n_modes, -1)
+    passive = float(np.clip(eigs[::-1], 0.0, None) @ np.sort(rho.freqs @ occupations))
+    return float(-np.sum(kept * np.log(kept))), energy_of(rho) - passive
+
+
+def _rotated_mixture():
+    """Three non-orthogonal components on the low levels, then a two-mode squeeze and a beam splitter."""
+    rng = np.random.default_rng(3)
+    dim = 30
+    low = np.zeros((dim, dim), dtype=bool)
+    low[:4, :4] = True
+    vectors = np.zeros((3, dim * dim), dtype=complex)
+    vectors[:, low.reshape(-1)] = rng.normal(size=(3, 16)) + 1j * rng.normal(size=(3, 16))
+    vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
+    rho = mixture([0.6, 0.3, 0.1], vectors, [1.0, 2.0], dim)
+    return apply_gaussian_unitary(beam_splitter(0.6), apply_gaussian_unitary(two_mode_squeeze(0.2), rho))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: thermal_fock_state([0.3, 0.2], [1.0, 2.0], 30),
+        lambda: thermal_fock_state(0.8, [1.5], 40),
+        lambda: apply_gaussian_unitary(squeeze(0.4, 1, 2), fock_state((1, 0), [1.0, 2.0], 20)),
+        _rotated_mixture,
+    ],
+    ids=["thermal", "thermal-one-mode", "pure", "rotated-mixed"],
+)
+def test_entropy_and_ergotropy_match_the_dense_spectrum(make):
+    rho = make()
+    entropy, ergotropy = _entropy_and_ergotropy_from_dense(rho)
+    assert entropy_of(rho) == pytest.approx(entropy, rel=1e-12, abs=1e-14)
+    assert ergotropy_of(rho) == pytest.approx(ergotropy, rel=1e-12, abs=1e-14)
+    assert rho.matrix is None
 
 
 def test_tail_checks():
@@ -261,6 +305,77 @@ def test_unitary_matches_dense_exponential(op):
     assert np.max(np.abs(gaussian_unitary_matrix(op, dim) - reference)) < 1e-12
 
 
+def _sector_reference(na, nb, raise_amps, t, dim):
+    """Kept rows and columns of expm(t (R - R^T)) on one internal sector, R raising along it."""
+    amps = t * raise_amps(na[:-1], nb[:-1])
+    u = scipy.linalg.expm(np.diag(amps, -1) - np.diag(amps, 1))
+    kept = np.flatnonzero((na < dim) & (nb < dim))
+    return (na[kept], nb[kept]), u[np.ix_(kept, kept)]
+
+
+def _assert_sectors_match(sectors, references):
+    """The code's kept blocks are exactly the references' non-empty ones, each within 1e-12."""
+    references = [(levels, block) for levels, block in references if levels[0].size]
+    assert len(sectors) == len(references)
+    for ((na, nb), block), ((ra, rb), ref) in zip(sectors, references):
+        assert np.array_equal(na, ra) and np.array_equal(nb, rb)
+        assert np.max(np.abs(block - ref)) < 1e-12
+
+
+@pytest.mark.parametrize("theta", [0.4, -1.1, 2.5])
+def test_beam_splitter_blocks_match_sector_exponentials(theta):
+    """Every total-number sector at cutoff 40, the register-truncated ones (total >= 60) too."""
+    dim, size = 40, _internal_dim(40)
+    references = []
+    for total in range(2 * size - 1):
+        na = np.arange(max(0, total - (size - 1)), min(total, size - 1) + 1)
+        (ka, kb), ref = _sector_reference(na, total - na, lambda a, b: np.sqrt((a + 1.0) * b), theta, dim)
+        references.append(((ka, kb), (1.0 - 2.0 * (kb % 2))[:, None] * ref))
+    _assert_sectors_match(sorted(_bs_sectors(theta, dim), key=lambda s: s[0][0][0] + s[0][1][0]), references)
+
+
+@pytest.mark.parametrize("r", [0.35, -0.6, 1.0])
+def test_two_mode_squeeze_blocks_match_sector_exponentials(r):
+    """Every photon-number-difference sector at cutoff 40, |d| up to 59 included."""
+    dim, size = 40, _internal_dim(40)
+    references = []
+    for d in range(-(size - 1), size):
+        nb = np.arange(max(0, -d), min(size, size - d))
+        references.append(_sector_reference(nb + d, nb, lambda a, b: np.sqrt((a + 1.0) * (b + 1.0)), r, dim))
+    _assert_sectors_match(sorted(_tms_sectors(r, dim), key=lambda s: s[0][0][0] - s[0][1][0]), references)
+
+
+@pytest.mark.parametrize(
+    "kind, params",
+    [("squeeze", {"r": r}) for r in (0.35, -0.6, 1.0)]
+    + [("displacement", {"alpha": a}) for a in (0.4 - 0.3j, -1.1 + 0.8j, 2.5j)],
+)
+def test_single_mode_blocks_match_register_exponentials(kind, params):
+    dim, size = 40, _internal_dim(40)
+    a = ladder(size)
+    if kind == "squeeze":
+        g = 0.5 * params["r"] * (a @ a - a.T @ a.T)
+    else:
+        g = params["alpha"] * a.T - np.conj(params["alpha"]) * a
+    reference = scipy.linalg.expm(g)[:dim, :dim]
+    assert np.max(np.abs(_single_mode_unitary(kind, params, dim) - reference)) < 1e-12
+
+
+def test_bases_log_once_per_cutoff(caplog):
+    fock._bases.cache_clear()
+    rho = thermal_fock_state([0.3, 0.2], [1.0, 2.0], 12)
+    with caplog.at_level(logging.DEBUG, logger="gausswork"):
+        apply_gaussian_unitary(beam_splitter(0.7), rho)
+        first = [r for r in caplog.records if r.msg.startswith("fock.bases")]
+        apply_gaussian_unitary(beam_splitter(-0.2), rho)
+    records = [r for r in caplog.records if r.msg.startswith("fock.bases")]
+    assert len(first) == len(records) == 1
+    record = records[0]
+    assert (record.kind, record.cutoff, record.sectors) == ("beam_splitter", 12, 23)
+    assert record.seconds >= 0.0
+    assert record.getMessage().startswith("fock.bases kind=beam_splitter cutoff=12 sectors=23 ")
+
+
 def test_displacement_unitary_makes_coherent_state():
     dim = 40
     u = gaussian_unitary_matrix(displacement([2.0, 0.0]), dim)
@@ -368,7 +483,8 @@ def test_conjugation_logs_one_record_per_call(caplog):
         for op in seq:
             rho = apply_gaussian_unitary(op, rho)
             outs.append(rho)
-    records = [r for r in caplog.records if r.name == "gausswork"]
+    # a cold basis cache adds fock.bases records; see test_bases_log_once_per_cutoff
+    records = [r for r in caplog.records if r.name == "gausswork" and r.msg.startswith("fock.apply")]
     assert len(records) == len(seq)
     for record, op, out in zip(records, seq, outs):
         assert record.levelno == logging.DEBUG
