@@ -155,7 +155,7 @@ def cmd_witness(args) -> int:
 
 
 def cmd_oracle_verify(args) -> int:
-    from . import fock  # the only verb that needs SciPy
+    from . import fock  # SciPy loads only for the direct search, on a two-mode state
 
     state = load_state(args.path)
     payload: dict = {"cutoff": args.cutoff}

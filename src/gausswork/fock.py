@@ -20,7 +20,6 @@ import time
 import warnings
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .core import MomentState
 from .exceptions import (
@@ -572,6 +571,20 @@ def apply_gaussian_unitary(
         vectors=small,
         leak=leak,
     )
+
+
+def minimize(*args, **kwargs):
+    """``scipy.optimize.minimize``, imported on each call; Python caches the module.
+
+    SciPy is needed only by the direct search, so importing this module, the
+    Fock replay and every conjugation run without it.  The name is bound at
+    module level because ``brute_force_min_energy`` looks it up here on each
+    local solve: a wrapper put in its place (a tracer that counts each
+    result's ``nfev``) sees every solve.
+    """
+    from scipy.optimize import minimize as scipy_minimize
+
+    return scipy_minimize(*args, **kwargs)
 
 
 class _SolveStopped(Exception):

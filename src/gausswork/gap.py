@@ -39,7 +39,7 @@ from .extraction import (
 )
 from .ops import apply, beam_splitter, inverse, rotation
 
-if TYPE_CHECKING:  # the Fock oracle needs SciPy; its builders import it on use
+if TYPE_CHECKING:  # the oracle loads on use; only its direct search needs SciPy
     from .fock import TruncatedDensityMatrix
 
 __all__ = [
@@ -240,7 +240,7 @@ def fixed_entropy_state(
     u[level, 0] = math.sin(phi)
     u[0, level] = -math.sin(phi)
     rho = u @ np.diag(pops) @ u.T
-    from .fock import density_matrix  # SciPy loads only once a level exists
+    from .fock import density_matrix  # loads the oracle, not SciPy: only the search needs it
 
     state = density_matrix(rho, [freq], cutoff)
     return FixedEntropyConstruction(

@@ -516,6 +516,54 @@ def test_moment_verbs_start_without_scipy(tmp_path, squeezed_file):
     assert record["same_object"] is True
 
 
+# Runs the Fock oracle without and then with a direct search in one fresh
+# interpreter, and records which SciPy modules are loaded after each.
+_FOCK_SCIPY_PROBE = """\
+import json, sys
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+import gausswork.fock as fock
+from gausswork import gap
+from gausswork.core import MomentState
+from gausswork.ops import beam_splitter, displacement, rotation, squeeze, two_mode_squeeze
+
+record = {"import": scipy_modules()}
+rho = fock.thermal_fock_state([0.3, 0.2], [1.0, 2.0], 20)
+for op in (
+    rotation(0.4, 0, 2),
+    squeeze(0.3, 1, 2),
+    two_mode_squeeze(0.2),
+    beam_splitter(0.7),
+    displacement([0.3, -0.2, 0.1, 0.4]),
+):
+    rho = fock.apply_gaussian_unitary(op, rho)
+fock.gaussian_unitary_matrix(beam_splitter(0.7), 20)
+x, cov = fock.moments_of(rho)
+fock.energy_of(rho)
+fock.entropy_of(rho)
+fock.ergotropy_of(rho)
+gap.fixed_entropy_state(3.0, 0.5)
+record["oracle"] = scipy_modules()
+fock.brute_force_min_energy(MomentState(freqs=[1.0, 2.0], x=x, cov=cov), starts=1)
+record["search"] = scipy_modules()
+json.dump(record, sys.stdout)
+"""
+
+
+def test_fock_oracle_loads_scipy_only_for_the_direct_search():
+    proc = subprocess.run(
+        [sys.executable, "-c", _FOCK_SCIPY_PROBE],
+        capture_output=True, text=True, env=_checkout_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    record = json.loads(proc.stdout)
+    assert record["import"] == []
+    assert record["oracle"] == []
+    assert "scipy.optimize" in record["search"]
+
+
 def test_state_file_round_trip(tmp_path):
     st = MomentState(
         freqs=[1.0, 2.0],

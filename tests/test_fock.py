@@ -465,7 +465,7 @@ def test_conjugation_peak_memory(op):
     """No unitary is assembled: a call peaks at a few copies of the embedded stack."""
     rho = thermal_fock_state([0.3, 0.2], [1.0, 2.0], 40)
     stack_bytes = _internal_dim(rho.dim) ** 2 * rho.vectors.shape[1] * 16
-    apply_gaussian_unitary(op, rho)  # lazy set-up inside SciPy stays out of the peak
+    apply_gaussian_unitary(op, rho)  # the cached bases are built outside the peak
     tracemalloc.start()
     try:
         apply_gaussian_unitary(op, rho)
