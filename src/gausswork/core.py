@@ -135,9 +135,9 @@ def mean_energy(state: MomentState) -> float:
 
 def mode_energy(state: MomentState, m: int) -> float:
     """Mean energy of mode m alone, omega_m ((Tr Gamma_m - 2)/4 + ||x_m||^2 / 2)."""
-    xm = state.x[2 * m : 2 * m + 2]
-    tr = state.cov[2 * m, 2 * m] + state.cov[2 * m + 1, 2 * m + 1]
-    return state.freqs[m] * (0.25 * (tr - 2.0) + 0.5 * float(xm @ xm))
+    x0, x1 = state.x.item(2 * m), state.x.item(2 * m + 1)
+    tr = state.cov.item(2 * m, 2 * m) + state.cov.item(2 * m + 1, 2 * m + 1)
+    return state.freqs.item(m) * (0.25 * (tr - 2.0) + 0.5 * (x0 * x0 + x1 * x1))
 
 
 def purity(state: MomentState) -> float:

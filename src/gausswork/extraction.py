@@ -86,14 +86,6 @@ class ExtractionReport:
     sweeps: int | None = None  # whole-state verdicts taken; None on two-mode reports
 
 
-def _mode_block(cov: np.ndarray, m: int) -> np.ndarray:
-    return cov[2 * m : 2 * m + 2, 2 * m : 2 * m + 2]
-
-
-def _cross_block(cov: np.ndarray, i: int, j: int) -> np.ndarray:
-    return cov[2 * i : 2 * i + 2, 2 * j : 2 * j + 2]
-
-
 def _passivity(freqs: np.ndarray, x: np.ndarray, cov: np.ndarray, tol: float) -> PassivityVerdict:
     """Gaussian passivity of the moments (x, cov) of modes with these frequencies.
 
@@ -289,41 +281,38 @@ def _reduce_pair(
     run: _Run,
     stage: str,
 ) -> tuple[MomentState, StandardFormParams]:
-    """Bring the (i, j) blocks to standard form with local operations."""
+    """Bring the (i, j) blocks to standard form with local operations.
+
+    Each local block [[p, q], [q, s]] is turned by theta = atan2(2q, p - s)/2
+    + pi/2, folded into (-pi/2, pi/2], which puts its smaller eigenvalue
+    lam- = (ps - q^2)/lam+ on x, then squeezed to sqrt(lam+ lam-) * 1.  The
+    cross block C = [[a, b], [c, d]] is R(theta_a)^T diag(d1, d2) R(theta_b)
+    with d1 >= |d2| for theta_a + theta_b = atan2(c + b, a - d) and
+    theta_a - theta_b = atan2(c - b, a + d), so turning mode i by theta_a and
+    mode j by theta_b leaves it diagonal.
+    """
     n = state.n_modes
     for m in (i, j):
-        block = _mode_block(state.cov, m)
-        scale = max(abs(block[0, 0]), abs(block[1, 1]), 1.0)
-        if abs(block[0, 1]) <= 1e-13 * scale:
-            d1, d2 = block[0, 0], block[1, 1]
-            if abs(d1 - d2) > 1e-13 * scale:
-                r = 0.25 * math.log(d1 / d2)
-                state = run.emit(squeeze(r, m, n), stage, state)
+        (p, q), (_, s) = state.cov[2 * m : 2 * m + 2, 2 * m : 2 * m + 2].tolist()
+        scale = max(abs(p), abs(s), 1.0)
+        if abs(q) <= 1e-13 * scale:
+            if abs(p - s) > 1e-13 * scale:
+                state = run.emit(squeeze(0.25 * math.log(p / s), m, n), stage, state)
         else:
-            lam, vec = np.linalg.eigh(block)
-            if np.linalg.det(vec) < 0:
-                vec = vec.copy()
-                vec[:, 0] = -vec[:, 0]
-            theta = math.atan2(vec[1, 0], vec[0, 0])
+            theta = 0.5 * math.atan2(2.0 * q, p - s) + 0.5 * math.pi
+            if theta > 0.5 * math.pi:
+                theta -= math.pi
             if abs(theta) > _STEP_EPS:
                 state = run.emit(rotation(theta, m, n), stage, state)
-            r = 0.25 * math.log(lam[0] / lam[1])
+            lam_hi = 0.5 * (p + s) + math.hypot(0.5 * (p - s), q)
+            r = 0.25 * math.log((p * s - q * q) / lam_hi / lam_hi)
             if abs(r) > _STEP_EPS:
                 state = run.emit(squeeze(r, m, n), stage, state)
 
-    cross = _cross_block(state.cov, i, j)
-    off = max(abs(cross[0, 1]), abs(cross[1, 0]))
-    if off > 1e-13 * max(1.0, float(np.max(np.abs(cross)))):
-        u, s, vh = np.linalg.svd(cross)
-        v = vh.T
-        if np.linalg.det(u) < 0:
-            u = u.copy()
-            u[:, 1] = -u[:, 1]
-        if np.linalg.det(v) < 0:
-            v = v.copy()
-            v[:, 1] = -v[:, 1]
-        theta_a = math.atan2(u[1, 0], u[0, 0])
-        theta_b = math.atan2(v[1, 0], v[0, 0])
+    (a, b), (c, d) = state.cov[2 * i : 2 * i + 2, 2 * j : 2 * j + 2].tolist()
+    if max(abs(b), abs(c)) > 1e-13 * max(1.0, abs(a), abs(b), abs(c), abs(d)):
+        theta_sum, theta_diff = math.atan2(c + b, a - d), math.atan2(c - b, a + d)
+        theta_a, theta_b = 0.5 * (theta_sum + theta_diff), 0.5 * (theta_sum - theta_diff)
         if abs(theta_a) > _STEP_EPS:
             state = run.emit(rotation(theta_a, i, n), stage, state)
         if abs(theta_b) > _STEP_EPS:
@@ -331,10 +320,10 @@ def _reduce_pair(
 
     cov = state.cov
     params = StandardFormParams(
-        a=0.5 * (cov[2 * i, 2 * i] + cov[2 * i + 1, 2 * i + 1]),
-        b=0.5 * (cov[2 * j, 2 * j] + cov[2 * j + 1, 2 * j + 1]),
-        c1=cov[2 * i, 2 * j],
-        c2=cov[2 * i + 1, 2 * j + 1],
+        a=0.5 * (cov.item(2 * i, 2 * i) + cov.item(2 * i + 1, 2 * i + 1)),
+        b=0.5 * (cov.item(2 * j, 2 * j) + cov.item(2 * j + 1, 2 * j + 1)),
+        c1=cov.item(2 * i, 2 * j),
+        c2=cov.item(2 * i + 1, 2 * j + 1),
     )
     return state, params
 
@@ -425,15 +414,18 @@ def _sweep(
         emitted = len(run.steps)
         for i, j in itertools.combinations(range(n), 2):
             if n == 2:  # the pair is the whole state
-                pair = certificate
+                diagonal = certificate.clause == "i"
+            elif max(map(abs, state.cov[2 * i : 2 * i + 2, 2 * j : 2 * j + 2].flat)) > passivity_tol:
+                diagonal = False  # a coupling above tol puts the Williamson residual above it
             else:
-                idx = [2 * i, 2 * i + 1, 2 * j, 2 * j + 1]
+                idx = (2 * i, 2 * i + 1, 2 * j, 2 * j + 1)
                 pair = _passivity(
-                    state.freqs[[i, j]], state.x[idx], state.cov[np.ix_(idx, idx)], passivity_tol
+                    state.freqs.take((i, j)), state.x.take(idx),
+                    state.cov.take(idx, 0).take(idx, 1), passivity_tol,
                 )
-            if pair.clause == "i":
-                continue
-            state = _pair_extract(state, i, j, run, tol, max_iters)
+                diagonal = pair.clause == "i"
+            if not diagonal:
+                state = _pair_extract(state, i, j, run, tol, max_iters)
         if len(run.steps) == emitted:
             break
     else:

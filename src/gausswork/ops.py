@@ -154,11 +154,15 @@ def is_symplectic(S: np.ndarray, tol: float = SYMPLECTIC_TOL) -> bool:
 def apply(op: GaussianOp, state: MomentState) -> MomentState:
     """Transform a state's moments: Gamma -> S Gamma S^T, x -> S x + d.
 
-    Only the rows and columns of the op's target modes are computed, through
-    a slice when the targets are ascending and adjacent.  The result shares
-    the input's frequencies and is not re-validated: its shapes are the
-    input's, and only finiteness is checked (over whole arrays, which up to
-    about 32 modes costs less than cutting out the touched rows and columns).
+    Only the rows of the op's target modes are computed, once, through a
+    slice when the targets are ascending and adjacent: B Gamma, with the
+    target block B Gamma_t B^T symmetrized.  The target columns are written
+    as the transpose of those rows, so the result is exactly symmetric
+    wherever the op touched it.  An elementary op leaves an exactly zero x as
+    it is, and the result shares that array.  The result also shares the
+    input's frequencies and is not re-validated: its shapes are the input's,
+    and finiteness is checked only on what was computed, the target rows and,
+    whenever x moves, all of x.
     """
     if op.n_modes != state.n_modes:
         raise ValidationError(
@@ -169,15 +173,23 @@ def apply(op: GaussianOp, state: MomentState) -> MomentState:
         idx = slice(2 * first, 2 * (first + len(op.modes)))
     else:
         idx = _indices(op.modes)
-    x = state.x.copy()
-    x[idx] = op.block @ x[idx]
-    cov = state.cov.copy()
-    cov[idx] = op.block @ cov[idx]
-    cov[:, idx] = cov[:, idx] @ op.block.T
-    if op.kind not in _KINDS:  # elementary kinds carry d = 0
-        x += op.d
-    if not (np.isfinite(x).all() and np.isfinite(cov).all()):
+    rows = op.block @ state.cov[idx]
+    block = rows[:, idx] @ op.block.T
+    rows[:, idx] = 0.5 * (block + block.T)
+    finite = np.isfinite(rows).all()
+    x = state.x
+    displaced = op.kind not in _KINDS  # elementary kinds carry d = 0
+    if displaced or np.count_nonzero(x):
+        x = x.copy()
+        x[idx] = op.block @ x[idx]
+        if displaced:
+            x += op.d
+        finite = finite and np.isfinite(x).all()
+    if not finite:
         raise ValidationError("moments and frequencies must be finite")
+    cov = state.cov.copy()
+    cov[idx] = rows
+    cov[:, idx] = rows.T
     return MomentState._inherit(state, x, cov)
 
 

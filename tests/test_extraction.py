@@ -1,6 +1,7 @@
 """Passivity verdicts, standard-form reduction, and the extraction pipeline."""
 
 import decimal
+import itertools
 import json
 import logging
 import math
@@ -30,6 +31,7 @@ from gausswork import (
     tms_parameter,
 )
 from gausswork import extraction
+from gausswork.core import DEFAULT_TOL
 from gausswork.extraction import StandardFormParams, _isotropy_squeeze
 from gausswork.fileio import state_from_dict
 from gausswork.ops import (
@@ -425,14 +427,81 @@ def test_three_modes_squeezed_beyond_the_isotropy_bracket_reach_the_floor(r):
 
 
 def test_a_sweep_that_emits_no_step_ends_the_sweeps():
-    # the last pair step leaves this covariance asymmetric by 1.9e-9, which
-    # no pair step removes; stopping on the certificate alone ran into
-    # ConvergenceError after 50 sweeps, the fixed point ends after 4
+    # when a step updated the rows and columns of its modes separately, the
+    # last pair step left this covariance asymmetric by 1.9e-9, which no pair
+    # step removed: stopping on the certificate alone ran into
+    # ConvergenceError after 50 sweeps, and the sweep that emitted no step
+    # ended them after 4.  The step now keeps Gamma exactly symmetric, and
+    # the certificate ends them (test_symmetric_steps_certify_strongly_squeezed_states)
     st, nus = squeezed_three_mode(9.25)
     report = nmode_gaussian_ergotropy(st)
     floor = minimal_gaussian_energy(nus, st.freqs)
     assert abs(report.final_energy - floor) <= 1e-8 * max(1.0, abs(floor))
     assert report.sweeps <= 4
+
+
+@pytest.mark.parametrize("r", [8.85, 9.25, 9.5, 9.7])
+def test_symmetric_steps_certify_strongly_squeezed_states(r):
+    # a step that computed the rows and columns of its modes apart left Gamma
+    # asymmetric by up to 1.9e-9 here, which no pair step removes: all four
+    # certificates were non-passive after 4 sweeps
+    st, nus = squeezed_three_mode(r)
+    st = MomentState(freqs=st.freqs, x=st.x, cov=0.5 * (st.cov + st.cov.T))
+    report = nmode_gaussian_ergotropy(st)
+    assert report.certificate.passive  # at the default, absolute 1e-9
+    assert np.array_equal(report.final_state.cov, report.final_state.cov.T)
+    floor = minimal_gaussian_energy(nus, st.freqs)
+    assert abs(report.final_energy - floor) <= 1e-8 * max(1.0, abs(floor))
+    energies = [report.initial_energy] + [s.energy_after for s in report.steps]
+    for before, after in zip(energies, energies[1:]):
+        assert after <= before + 1e-9 * max(1.0, abs(before))
+
+
+def _sweep_pairs(monkeypatch, st):
+    """Run the sweeps on st; return (state, i, j, extracted) for every pair test."""
+    sweeps, extracted = [], []
+    verdict, pair_extract = extraction.all_pairs_gaussian_passive, extraction._pair_extract
+
+    def spy_verdict(state, tol):
+        sweeps.append(state)
+        return verdict(state, tol)
+
+    def spy_extract(state, i, j, *args):
+        out = pair_extract(state, i, j, *args)
+        extracted.append((state, i, j, out))
+        return out
+
+    monkeypatch.setattr(extraction, "all_pairs_gaussian_passive", spy_verdict)
+    monkeypatch.setattr(extraction, "_pair_extract", spy_extract)
+    report = nmode_gaussian_ergotropy(st)
+    monkeypatch.undo()
+    tests, calls = [], iter(extracted)
+    upcoming = next(calls, None)
+    for state in sweeps[: len(sweeps) - report.certificate.passive]:
+        for i, j in itertools.combinations(range(st.n_modes), 2):
+            hit = upcoming is not None and upcoming[:3] == (state, i, j)
+            tests.append((state, i, j, hit))
+            if hit:
+                state, upcoming = upcoming[3], next(calls, None)
+    assert upcoming is None  # every extraction was matched to its pair test
+    return tests
+
+
+def test_the_pair_test_shortcut_agrees_with_the_verdict(monkeypatch):
+    # a pair is skipped exactly when its own verdict, on the pair block cut
+    # out with np.ix_, is Williamson-diagonal (clause "i")
+    rng = np.random.default_rng(4108)
+    skipped = 0
+    for n in (4, 4, 8):
+        st, _ = random_active_state(rng, n_modes=n)
+        for state, i, j, hit in _sweep_pairs(monkeypatch, st):
+            idx = [2 * i, 2 * i + 1, 2 * j, 2 * j + 1]
+            pair = extraction._passivity(
+                state.freqs[[i, j]], state.x[idx], state.cov[np.ix_(idx, idx)], DEFAULT_TOL
+            )
+            assert (pair.clause == "i") != hit
+            skipped += not hit
+    assert skipped > 0
 
 
 # Drawn once with perfbench/workloads.active_state(rng, n, 3, (1.0, 10.0),
@@ -558,6 +627,79 @@ def test_reduce_to_standard_form_rejects_displaced_states():
         reduce_to_standard_form(st)
 
 
+def _lapack_local_steps(block):
+    """The reference local reduction: rotation and squeeze from LAPACK's eigh."""
+    scale = max(abs(block[0, 0]), abs(block[1, 1]), 1.0)
+    if abs(block[0, 1]) <= 1e-13 * scale:
+        d1, d2 = block[0, 0], block[1, 1]
+        return [squeeze(0.25 * math.log(d1 / d2), 0, 2)] if abs(d1 - d2) > 1e-13 * scale else []
+    lam, vec = np.linalg.eigh(block)
+    if np.linalg.det(vec) < 0:
+        vec[:, 0] = -vec[:, 0]
+    theta = math.atan2(vec[1, 0], vec[0, 0])
+    return [rotation(theta, 0, 2), squeeze(0.25 * math.log(lam[0] / lam[1]), 0, 2)]
+
+
+def _isotropy_residual(state):
+    (p, q), (q2, s) = state.cov[:2, :2].tolist()
+    return max(abs(p - s), abs(q), abs(q2)) / (0.5 * (p + s))
+
+
+def test_closed_form_local_reduction_matches_eigh():
+    rng = np.random.default_rng(6061)
+    blocks = []
+    for _ in range(400):
+        nu, r, phi = rng.uniform(1.0, 10.0), rng.uniform(0.0, 6.0), rng.uniform(-math.pi, math.pi)
+        turn = rotation(phi).block
+        block = turn.T @ np.diag([nu * math.exp(-2 * r), nu * math.exp(2 * r)]) @ turn
+        blocks.append(0.5 * (block + block.T))
+    for p in (1.5, 40.0, 3e4):
+        for q in (1e-14 * p, -1e-14 * p, 1e-12 * p, -1e-12 * p, 0.3, -0.3):
+            for s in (p, p * (1 + 1e-15), p * (1 - 1e-13), 1.2 * p):
+                blocks.append(np.array([[p, q], [q, s]]))
+    closed, lapack = [], []
+    for block in blocks:
+        cov = np.eye(4)
+        cov[:2, :2] = block
+        st = two_mode(cov)
+        run = extraction._Run(st)
+        out, _ = extraction._reduce_pair(st, 0, 1, run, "P2-local")
+        for step in run.steps:
+            assert step.op.modes == (0,)
+            if step.op.kind == "rotation":
+                assert -math.pi / 2 < step.op.params["theta"] <= math.pi / 2
+        closed.append(_isotropy_residual(out))
+        ref = st
+        for op in _lapack_local_steps(block):
+            ref = apply(op, ref)
+        lapack.append(_isotropy_residual(ref))
+    assert max(closed) <= max(lapack)
+    assert np.median(closed) <= np.median(lapack)
+
+
+def test_closed_form_cross_rotations_match_svd():
+    rng = np.random.default_rng(6062)
+    crosses = []
+    for _ in range(100):
+        c = rng.normal(size=(2, 2)) * 10.0 ** rng.uniform(-3, 3)
+        if np.linalg.det(c) > 0:
+            c[0] = -c[0]
+        crosses.append(c)  # det < 0
+        crosses.append(np.outer(rng.normal(size=2), rng.normal(size=2)))  # rank 1
+        crosses.append(-np.abs(rng.normal(size=(2, 2))) * np.array([[1.0, rng.normal()], [rng.normal(), 1.0]]))
+    for c in crosses:
+        sv = np.linalg.svd(c, compute_uv=False)
+        k = 1.0 + 2.0 * sv[0]
+        cov = np.block([[k * np.eye(2), c], [c.T, k * np.eye(2)]])
+        st = two_mode(cov)
+        out, params = extraction._reduce_pair(st, 0, 1, extraction._Run(st), "P2-local")
+        (d1, upper), (lower, d2) = out.cov[:2, 2:].tolist()
+        assert max(abs(upper), abs(lower)) <= 1e-13 * float(np.max(np.abs(c)))
+        assert d1 >= abs(d2)
+        assert (params.c1, params.c2) == (d1, d2)
+        np.testing.assert_allclose([d1, abs(d2)], sv, rtol=0.0, atol=1e-12 * sv[0])
+
+
 # ---------------------------------------------------------------------------
 # extraction
 
@@ -651,6 +793,18 @@ def test_step_energies_match_a_full_replay():
                 replayed = apply(step.op, replayed)
                 assert step.energy_after == pytest.approx(mean_energy(replayed), rel=1e-12, abs=0.0)
             assert report.final_energy == report.steps[-1].energy_after
+
+
+def test_extraction_leaves_an_undisplaced_input_untouched():
+    rng = np.random.default_rng(31)
+    for n in (2, 4):
+        st, _ = random_active_state(rng, n_modes=n)
+        st = MomentState(freqs=st.freqs, x=np.zeros(2 * n), cov=st.cov)
+        x0, cov0 = st.x.tobytes(), st.cov.tobytes()
+        report = nmode_gaussian_ergotropy(st)
+        assert report.steps and report.certificate.passive
+        assert st.x.tobytes() == x0 and st.cov.tobytes() == cov0
+        assert not report.final_state.x.any()
 
 
 def test_three_mode_sweeps_reach_floor():

@@ -1,5 +1,6 @@
 """Elementary Gaussian operations: matrices, composition, inversion, labels."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -152,6 +153,7 @@ def test_apply_affine_law(name):
     assert np.array_equal(st.x, x0) and np.array_equal(st.cov, cov0)
     np.testing.assert_allclose(out.x, op.S @ st.x + op.d, rtol=0.0, atol=1e-14)
     np.testing.assert_allclose(out.cov, op.S @ st.cov @ op.S.T, rtol=0.0, atol=1e-14)
+    assert np.array_equal(st.cov, st.cov.T) and np.array_equal(out.cov, out.cov.T)
     assert np.array_equal(out.freqs, st.freqs)
     rest = [q for m in range(5) if m not in op.modes for q in (2 * m, 2 * m + 1)]
     assert np.array_equal(out.x[rest], st.x[rest])
@@ -170,6 +172,28 @@ def test_apply_rejects_overflowing_moments():
             apply(squeeze(800.0), thermal_state([1.0], [0.0]))
         with pytest.raises(ValidationError, match="must be finite"):
             apply(two_mode_squeeze(800.0, (0, 2), 3), thermal_state([1.0, 2.0, 3.0], [0.5, 0.5, 0.5]))
+
+
+def test_apply_shares_a_zero_first_moment_and_never_writes_its_input():
+    rng = np.random.default_rng(7)
+    a = rng.normal(size=(6, 6))
+    st = MomentState(freqs=[1.0, 2.0, 3.0], x=np.zeros(6), cov=np.eye(6) + a @ a.T)
+    x0, cov0 = st.x.tobytes(), st.cov.tobytes()
+    out = apply(two_mode_squeeze(0.3, (2, 0), 3), st)
+    assert out.x is st.x
+    out = apply(displacement(np.ones(6)), out)
+    assert np.array_equal(out.x, np.ones(6))
+    assert st.x.tobytes() == x0 and st.cov.tobytes() == cov0
+
+
+def test_apply_checks_a_composed_displacement_outside_its_modes():
+    op = compose([rotation(0.3, 0, 3), two_mode_squeeze(0.2, (0, 1), 3)])
+    d = np.zeros(6)
+    d[4] = np.inf  # on mode 2, which the composed block does not touch
+    op = dataclasses.replace(op, d=d)
+    assert op.modes == (0, 1)
+    with pytest.raises(ValidationError, match="must be finite"):
+        apply(op, thermal_state([1.0, 2.0, 3.0], [0.5, 0.5, 0.5]))
 
 
 def test_compose_order_first_listed_acts_first():
