@@ -30,8 +30,6 @@ from .exceptions import (
     ValidationError,
 )
 from .extraction import (
-    CONVERGENCE_TOL,
-    MAX_ITERS,
     all_pairs_gaussian_passive,
     gaussian_ergotropy,
     minimal_gaussian_energy,
@@ -106,7 +104,7 @@ def cmd_extract(args) -> int:
         raise ValidationError("work extraction needs at least two modes")
     extract = nmode_gaussian_ergotropy if args.nmode else gaussian_ergotropy
     try:
-        report = extract(state, tol=args.tol, max_iters=args.max_iters)
+        report = extract(state)
     except ConvergenceError as exc:
         if args.trace is not None:
             write_trace_csv(exc.steps, args.trace)
@@ -246,8 +244,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("path")
     p.add_argument("--out", default=None, help="write the protocol JSON here")
     p.add_argument("--trace", default=None, help="write the CSV trace table here")
-    p.add_argument("--tol", type=float, default=CONVERGENCE_TOL, help="per-pair |c1 - c2| bound")
-    p.add_argument("--max-iters", type=int, default=MAX_ITERS)
     p.add_argument(
         "--nmode", action="store_true",
         help="use the pairwise-sweep pipeline (required above two modes)",

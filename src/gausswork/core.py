@@ -90,9 +90,10 @@ def symplectic_form(n_modes: int) -> np.ndarray:
 def validate_state(state: MomentState, tol: float = DEFAULT_TOL) -> ValidationReport:
     """Check symmetry, positive definiteness, and the uncertainty relation.
 
-    The uncertainty relation is Gamma + i*Omega >= 0, tested through the
-    smallest eigenvalue of the Hermitian matrix Gamma + i*Omega being
-    >= -tol.
+    Positive definiteness is the success of the Cholesky factorization behind
+    symplectic_spectrum.  A positive definite Gamma obeys the uncertainty
+    relation Gamma + i*Omega >= 0 exactly when its least symplectic
+    eigenvalue is at least 1, tested here as nu - 1 >= -tol.
     """
     violations = []
     cov = state.cov
@@ -100,18 +101,15 @@ def validate_state(state: MomentState, tol: float = DEFAULT_TOL) -> ValidationRe
     if sym_resid > tol:
         violations.append(f"covariance not symmetric (residual {sym_resid:.3e})")
     else:
-        eigs = np.linalg.eigvalsh(0.5 * (cov + cov.T))
-        if eigs[0] <= 0:
-            violations.append(
-                f"covariance not positive definite (min eigenvalue {eigs[0]:.3e})"
-            )
-        omega = symplectic_form(state.n_modes)
-        herm = cov + 1j * omega
-        min_unc = float(np.linalg.eigvalsh(herm)[0])
-        if min_unc < -tol:
-            violations.append(
-                f"uncertainty relation violated (min eigenvalue of Gamma + i Omega is {min_unc:.3e})"
-            )
+        try:
+            excess = float(symplectic_spectrum(cov)[-1]) - 1.0
+        except ValidationError as exc:
+            violations.append(str(exc))
+        else:
+            if excess < -tol:
+                violations.append(
+                    f"uncertainty relation violated (least symplectic eigenvalue minus 1 is {excess:.3e})"
+                )
     return ValidationReport(ok=not violations, violations=tuple(violations))
 
 

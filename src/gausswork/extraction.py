@@ -44,14 +44,12 @@ from .ops import (
     two_mode_squeeze,
 )
 
-CONVERGENCE_TOL = 1e-12
-MAX_ITERS = 200
 MAX_SWEEPS = 50
 
 # steps whose parameters fall below this threshold are not worth recording
 _STEP_EPS = 1e-13
 # relative optimality slack before a report is flagged; float64 rounding
-# accumulated over the iteration makes anything tighter unreliable
+# accumulated over the sweeps makes anything tighter unreliable
 _GAP_WARN_RTOL = 1e-8
 
 _log = logging.getLogger("gausswork")
@@ -345,58 +343,41 @@ def reduce_to_standard_form(
     return state, run.steps, params
 
 
-def _pair_extract(
-    state: MomentState,
-    i: int,
-    j: int,
-    run: _Run,
-    tol: float,
-    max_iters: int,
-) -> MomentState:
-    """Run the standard-form / two-mode-squeeze loop plus the final beam splitter.
+def _pair_extract(state: MomentState, i: int, j: int, run: _Run) -> MomentState:
+    """One pass of the pair prescription: standard form, squeeze, beam splitter.
 
-    Where the isotropy squeeze lies beyond 2 r*, the pair's beam splitter
-    takes its place: it turns x and p by one angle, so it diagonalizes the
-    pair's x + p sum [[2a, c1 + c2], [c1 + c2, 2b]] and cannot raise the
-    energy, and it leaves a coupling small enough for the next root.
+    The isotropy squeeze is applied when its root lies in [0, 2 r*].  Where it
+    lies beyond, the pair's beam splitter goes first: it turns x and p by one
+    angle, so it diagonalizes the pair's x + p sum
+    [[2a, c1 + c2], [c1 + c2, 2b]] and cannot raise the energy, and after it
+    the pair is reduced and the root solved once more.  A root still outside
+    is skipped, and the next sweep takes the pair up again.  The pass ends
+    with the beam splitter that parts the modes of the reduced pair.
     """
     n = state.n_modes
     first_larger = state.freqs[i] <= state.freqs[j]
-    stage = "P2-local"
-    for it in range(max_iters):
-        state, params = _reduce_pair(state, i, j, run, stage)
-        stage = "P3-realign"
-        if abs(params.c1 - params.c2) <= tol:
-            break
+    state, params = _reduce_pair(state, i, j, run, "P2-local")
+    r = _isotropy_squeeze(params)
+    if r is None:
+        theta = bs_angle(params.a, params.b, 0.5 * (params.c1 + params.c2), first_larger)
+        state = run.emit(beam_splitter(theta, (i, j), n), "P3-realign", state)
+        state, params = _reduce_pair(state, i, j, run, "P3-realign")
         r = _isotropy_squeeze(params)
-        if r is None:
-            theta = bs_angle(params.a, params.b, 0.5 * (params.c1 + params.c2), first_larger)
-            state = run.emit(beam_splitter(theta, (i, j), n), stage, state)
-        else:
-            state = run.emit(two_mode_squeeze(r, (i, j), n), "P3-tms", state)
-    else:
-        raise ConvergenceError(
-            f"standard-form loop did not converge in {max_iters} iterations "
-            f"(|c1 - c2| = {abs(params.c1 - params.c2):.3e})",
-            steps=run.steps,
-        )
+    if r is not None and abs(r) > _STEP_EPS:
+        state = run.emit(two_mode_squeeze(r, (i, j), n), "P3-tms", state)
+        state, params = _reduce_pair(state, i, j, run, "P3-realign")
     theta = bs_angle(params.a, params.b, 0.5 * (params.c1 + params.c2), first_larger)
     if abs(theta) > _STEP_EPS:
         state = run.emit(beam_splitter(theta, (i, j), n), "P4-beamsplit", state)
     return state
 
 
-def _sweep(
-    state: MomentState,
-    tol: float,
-    max_iters: int,
-    max_sweeps: int,
-    passivity_tol: float,
-) -> ExtractionReport:
+def _sweep(state: MomentState) -> ExtractionReport:
     """Displace, then run the two-mode pipeline over mode pairs to a fixed point.
 
     Each sweep opens with the whole-state certificate; the sweeps end when it is
     passive, or when a sweep emits no step and so leaves the state it certified.
+    More than MAX_SWEEPS sweeps raise ConvergenceError with the steps so far.
     """
     require_valid(state)
     initial_energy = mean_energy(state)
@@ -407,30 +388,30 @@ def _sweep(
         state = run.emit(displacement(-state.x), "P1-displace", state)
 
     n = state.n_modes
-    for sweeps in range(1, max_sweeps + 1):
-        certificate = all_pairs_gaussian_passive(state, passivity_tol)
+    for sweeps in range(1, MAX_SWEEPS + 1):
+        certificate = all_pairs_gaussian_passive(state, DEFAULT_TOL)
         if certificate.passive:
             break
         emitted = len(run.steps)
         for i, j in itertools.combinations(range(n), 2):
             if n == 2:  # the pair is the whole state
                 diagonal = certificate.clause == "i"
-            elif max(map(abs, state.cov[2 * i : 2 * i + 2, 2 * j : 2 * j + 2].flat)) > passivity_tol:
+            elif max(map(abs, state.cov[2 * i : 2 * i + 2, 2 * j : 2 * j + 2].flat)) > DEFAULT_TOL:
                 diagonal = False  # a coupling above tol puts the Williamson residual above it
             else:
                 idx = (2 * i, 2 * i + 1, 2 * j, 2 * j + 1)
                 pair = _passivity(
                     state.freqs.take((i, j)), state.x.take(idx),
-                    state.cov.take(idx, 0).take(idx, 1), passivity_tol,
+                    state.cov.take(idx, 0).take(idx, 1), DEFAULT_TOL,
                 )
                 diagonal = pair.clause == "i"
             if not diagonal:
-                state = _pair_extract(state, i, j, run, tol, max_iters)
+                state = _pair_extract(state, i, j, run)
         if len(run.steps) == emitted:
             break
     else:
         raise ConvergenceError(
-            f"pairwise sweeps did not reach a fixed point in {max_sweeps} sweeps",
+            f"pairwise sweeps did not converge to a fixed point in {MAX_SWEEPS} sweeps",
             steps=run.steps,
         )
 
@@ -456,12 +437,7 @@ def _sweep(
     )
 
 
-def gaussian_ergotropy(
-    state: MomentState,
-    tol: float = CONVERGENCE_TOL,
-    max_iters: int = MAX_ITERS,
-    passivity_tol: float = DEFAULT_TOL,
-) -> ExtractionReport:
+def gaussian_ergotropy(state: MomentState) -> ExtractionReport:
     """Maximal Gaussian-extractable work from a two-mode state, with protocol.
 
     The sweep of nmode_gaussian_ergotropy on its one pair, reported with
@@ -471,25 +447,19 @@ def gaussian_ergotropy(
     """
     if state.n_modes != 2:
         raise ValidationError("gaussian_ergotropy expects a two-mode state")
-    return dataclasses.replace(_sweep(state, tol, max_iters, MAX_SWEEPS, passivity_tol), sweeps=None)
+    return dataclasses.replace(_sweep(state), sweeps=None)
 
 
-def nmode_gaussian_ergotropy(
-    state: MomentState,
-    tol: float = CONVERGENCE_TOL,
-    max_iters: int = MAX_ITERS,
-    max_sweeps: int = MAX_SWEEPS,
-    passivity_tol: float = DEFAULT_TOL,
-) -> ExtractionReport:
+def nmode_gaussian_ergotropy(state: MomentState) -> ExtractionReport:
     """Gaussian work extraction on N modes by pairwise sweeps on the joint state.
 
-    Lexicographic mode pairs are processed with the two-mode pipeline
+    Lexicographic mode pairs each take one pass of the two-mode pipeline
     (embedded in the full system) until the whole state is passive or a
     sweep emits no step; gaussian_ergotropy is this sweep at two modes.
     """
     if state.n_modes < 2:
         raise ValidationError("nmode_gaussian_ergotropy expects at least two modes")
-    return _sweep(state, tol, max_iters, max_sweeps, passivity_tol)
+    return _sweep(state)
 
 
 def thermal_product_passivity(

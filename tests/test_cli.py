@@ -264,16 +264,18 @@ def test_extract_single_mode_rejected(capsys, tmp_path):
     assert "two modes" in err
 
 
-def test_extract_convergence_failure_writes_partial_trace(capsys, tmp_path):
+def test_extract_convergence_failure_writes_partial_trace(capsys, tmp_path, monkeypatch):
+    from gausswork import extraction
     from gausswork.ops import beam_splitter, squeeze, two_mode_squeeze
 
+    # one sweep is too few for this state: the sweep bound raises after the
+    # first pass over its pair
+    monkeypatch.setattr(extraction, "MAX_SWEEPS", 1)
     op = compose([squeeze(0.7, 0, 2), two_mode_squeeze(0.5), beam_splitter(0.8)])
     cov = op.S @ np.diag([2.0, 2.0, 4.0, 4.0]) @ op.S.T
     path = write_state(tmp_path / "slow.json", [1.0, 2.0], cov)
     trace = tmp_path / "partial.csv"
-    code, _, err = run_json(
-        capsys, ["extract", path, "--max-iters", "1", "--trace", str(trace)]
-    )
+    code, _, err = run_json(capsys, ["extract", path, "--trace", str(trace)])
     assert code == 2
     assert "did not converge" in err
     with open(trace, newline="") as fh:

@@ -77,7 +77,7 @@ def test_validate_uncertainty_violation():
     report = validate_state(st)
     assert not report.ok
     assert any("uncertainty" in v for v in report.violations)
-    # min eigenvalue of Gamma + i Omega is exactly -0.5 here
+    # nu - 1 is exactly -0.5 here, as is the least eigenvalue of Gamma + i Omega
     assert "-5.000e-01" in report.violations[0]
     with pytest.raises(ValidationError):
         require_valid(st)

@@ -440,17 +440,51 @@ def test_a_sweep_that_emits_no_step_ends_the_sweeps():
     assert report.sweeps <= 4
 
 
-@pytest.mark.parametrize("r", [8.85, 9.25, 9.5, 9.7])
+@pytest.mark.parametrize("r", [8.85, 9.25, 9.5, 9.7, 10.0, 10.5])
 def test_symmetric_steps_certify_strongly_squeezed_states(r):
     # a step that computed the rows and columns of its modes apart left Gamma
-    # asymmetric by up to 1.9e-9 here, which no pair step removes: all four
-    # certificates were non-passive after 4 sweeps
+    # asymmetric by up to 1.9e-9 here, which no pair step removes: the first
+    # four certificates were non-passive after 4 sweeps.  At r = 10 and 10.5
+    # an eigvalsh-based validation rejected the input ("not positive
+    # definite", min eigenvalue -9.1e-9; "uncertainty relation violated",
+    # -1.1e-7), where the Cholesky factor exists and nu - 1 is rounding
     st, nus = squeezed_three_mode(r)
     st = MomentState(freqs=st.freqs, x=st.x, cov=0.5 * (st.cov + st.cov.T))
     report = nmode_gaussian_ergotropy(st)
     assert report.certificate.passive  # at the default, absolute 1e-9
     assert np.array_equal(report.final_state.cov, report.final_state.cov.T)
     floor = minimal_gaussian_energy(nus, st.freqs)
+    assert abs(report.final_energy - floor) <= 1e-8 * max(1.0, abs(floor))
+    energies = [report.initial_energy] + [s.energy_after for s in report.steps]
+    for before, after in zip(energies, energies[1:]):
+        assert after <= before + 1e-9 * max(1.0, abs(before))
+
+
+def test_a_sweep_without_a_step_is_a_fixed_point():
+    # the coupling between modes 0 and 2 is isotropic and 5e-9: above the
+    # certificate's 1e-9, but its squeeze root is 0 and its beam-splitter
+    # angle 5e-14 is below the step threshold, so the first sweep emits no
+    # step and ends the sweeps on the non-passive certificate it opened with
+    cov = np.diag([1e5, 1e5, 2.0, 2.0, 1.5, 1.5])
+    cov[0, 4] = cov[4, 0] = cov[1, 5] = cov[5, 1] = 5e-9
+    st = MomentState(freqs=[1.0, 2.0, 3.0], x=np.zeros(6), cov=cov)
+    report = nmode_gaussian_ergotropy(st)
+    assert report.steps == () and report.sweeps == 1
+    assert not report.certificate.passive
+    assert report.certificate.violations == ("covariance not in Williamson form",)
+    assert report.final_energy == report.initial_energy
+
+
+def test_a_large_pair_gets_one_pass_per_sweep():
+    # item 236 of the seed-4242 edge corpus, with entries up to 2,344: a
+    # pair loop that iterated to an absolute |c1 - c2| <= 1e-12 raised
+    # ConvergenceError after 200 iterations at 2.046e-12, where one pass per
+    # pair and sweep reaches the floor
+    data = json.loads((DATA / "pair_stall_4242_item236.json").read_text())
+    st = state_from_dict(data)
+    report = nmode_gaussian_ergotropy(st)
+    assert report.certificate.passive
+    floor = minimal_gaussian_energy(data["metadata"]["symplectic_spectrum"], st.freqs)
     assert abs(report.final_energy - floor) <= 1e-8 * max(1.0, abs(floor))
     energies = [report.initial_energy] + [s.energy_after for s in report.steps]
     for before, after in zip(energies, energies[1:]):
@@ -747,13 +781,19 @@ def test_extraction_requires_two_modes_and_valid_state():
         gaussian_ergotropy(two_mode(0.5 * np.eye(4)))
 
 
-def test_convergence_error_carries_partial_protocol():
+def test_convergence_error_carries_partial_protocol(monkeypatch):
+    # the sweep bound is the only bound: with one sweep allowed, the pair's
+    # one pass runs whole, and the certificate that would open a second
+    # sweep is never taken
+    monkeypatch.setattr(extraction, "MAX_SWEEPS", 1)
     rng = np.random.default_rng(31)
     st, _ = random_active_state(rng)
     with pytest.raises(ConvergenceError) as excinfo:
-        gaussian_ergotropy(st, max_iters=1)
-    assert len(excinfo.value.steps) > 0
-    assert all(step.stage in ("P1-displace", "P2-local", "P3-tms") for step in excinfo.value.steps)
+        gaussian_ergotropy(st)
+    stages = [step.stage for step in excinfo.value.steps]
+    assert stages[0] == "P1-displace" and stages[-1] == "P4-beamsplit"
+    assert stages.count("P3-tms") == 1
+    assert set(stages) <= {"P1-displace", "P2-local", "P3-tms", "P3-realign", "P4-beamsplit"}
 
 
 def test_extraction_property_loop():
