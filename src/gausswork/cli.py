@@ -16,10 +16,10 @@ import numpy as np
 
 from .core import (
     DEFAULT_TOL,
+    gaussian_entropy,
     mean_energy,
     purity,
     require_valid,
-    state_entropy,
     symplectic_spectrum,
     validate_state,
 )
@@ -78,8 +78,7 @@ def cmd_check(args) -> int:
 
 def cmd_spectrum(args) -> int:
     state = load_state(args.path)
-    require_valid(state)
-    spectrum = symplectic_spectrum(state.cov)
+    spectrum = require_valid(state)
     _emit_json(
         {
             "spectrum": [float(v) for v in spectrum],
@@ -87,7 +86,7 @@ def cmd_spectrum(args) -> int:
             "minimal_gaussian_energy": minimal_gaussian_energy(
                 spectrum, state.freqs
             ),
-            "entropy": state_entropy(state),
+            "entropy": gaussian_entropy(spectrum),
             "purity": purity(state),
         }
     )

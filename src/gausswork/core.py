@@ -87,36 +87,47 @@ def symplectic_form(n_modes: int) -> np.ndarray:
     return omega
 
 
+def _checked_spectrum(state: MomentState, tol: float) -> tuple[tuple[str, ...], np.ndarray | None]:
+    """``validate_state``'s violations, and the symplectic spectrum where it was taken."""
+    cov = state.cov
+    sym_resid = float(np.max(np.abs(cov - cov.T)))
+    if sym_resid > tol * max(1.0, float(np.max(np.abs(cov)))):
+        return (f"covariance not symmetric (residual {sym_resid:.3e})",), None
+    try:
+        spectrum = symplectic_spectrum(cov)
+    except ValidationError as exc:
+        return (str(exc),), None
+    excess = float(spectrum[-1]) - 1.0
+    if excess < -tol:
+        return (
+            f"uncertainty relation violated (least symplectic eigenvalue minus 1 is {excess:.3e})",
+        ), spectrum
+    return (), spectrum
+
+
 def validate_state(state: MomentState, tol: float = DEFAULT_TOL) -> ValidationReport:
     """Check symmetry, positive definiteness, and the uncertainty relation.
 
+    Gamma is symmetric when no entry of Gamma - Gamma^T exceeds
+    tol * max(1, max|Gamma|), so rounding in a large covariance passes.
     Positive definiteness is the success of the Cholesky factorization behind
     symplectic_spectrum.  A positive definite Gamma obeys the uncertainty
     relation Gamma + i*Omega >= 0 exactly when its least symplectic
     eigenvalue is at least 1, tested here as nu - 1 >= -tol.
     """
-    violations = []
-    cov = state.cov
-    sym_resid = float(np.max(np.abs(cov - cov.T)))
-    if sym_resid > tol:
-        violations.append(f"covariance not symmetric (residual {sym_resid:.3e})")
-    else:
-        try:
-            excess = float(symplectic_spectrum(cov)[-1]) - 1.0
-        except ValidationError as exc:
-            violations.append(str(exc))
-        else:
-            if excess < -tol:
-                violations.append(
-                    f"uncertainty relation violated (least symplectic eigenvalue minus 1 is {excess:.3e})"
-                )
-    return ValidationReport(ok=not violations, violations=tuple(violations))
+    violations, _ = _checked_spectrum(state, tol)
+    return ValidationReport(ok=not violations, violations=violations)
 
 
-def require_valid(state: MomentState, tol: float = DEFAULT_TOL) -> None:
-    report = validate_state(state, tol)
-    if not report.ok:
-        raise ValidationError("; ".join(report.violations))
+def require_valid(state: MomentState, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """The symplectic spectrum of a state that passes ``validate_state``.
+
+    Raises ValidationError with the violations otherwise.
+    """
+    violations, spectrum = _checked_spectrum(state, tol)
+    if violations:
+        raise ValidationError("; ".join(violations))
+    return spectrum
 
 
 def mean_energy(state: MomentState) -> float:

@@ -30,7 +30,6 @@ from .core import (
     mode_energy,
     require_valid,
     symplectic_form,
-    symplectic_spectrum,
 )
 from .exceptions import ConvergenceError, OptimalityWarning, ValidationError
 from .ops import (
@@ -379,9 +378,8 @@ def _sweep(state: MomentState) -> ExtractionReport:
     passive, or when a sweep emits no step and so leaves the state it certified.
     More than MAX_SWEEPS sweeps raise ConvergenceError with the steps so far.
     """
-    require_valid(state)
+    spectrum = require_valid(state)
     initial_energy = mean_energy(state)
-    spectrum = symplectic_spectrum(state.cov)
 
     run = _Run(state)
     if float(np.max(np.abs(state.x))) > _STEP_EPS:

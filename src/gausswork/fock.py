@@ -1,13 +1,13 @@
 r"""Truncated Fock-space oracle for one- and two-mode computations.
 
 Everything here is independent of the moment-level code paths: states are
-density matrices on a photon-number cutoff, operations are exponentials of
-their quadratic generators truncated on an enlarged register, and energies
-come from number operators.  Each non-diagonal generator splits into real
-antisymmetric tridiagonal chains (parity ladders, conserved sectors), whose
-exponentials come in closed form from eigenbases cached per cutoff and are
-only ever formed on the cutoff's own levels.  Used to cross-check the
-closed-form moment machinery.
+density matrices on a photon-number cutoff, held as weighted pure components,
+operations are exponentials of their quadratic generators truncated on an
+enlarged register, and energies come from number operators.  Each
+non-diagonal generator splits into real antisymmetric tridiagonal chains
+(parity ladders, conserved sectors), whose exponentials come in closed form
+from eigenbases cached per cutoff and are only ever formed on the cutoff's
+own levels.  Used to cross-check the closed-form moment machinery.
 """
 
 from __future__ import annotations
@@ -57,20 +57,18 @@ def _internal_dim(dim: int) -> int:
 
 @dataclasses.dataclass(eq=False)
 class TruncatedDensityMatrix:
-    """A density matrix on (dim)^n_modes levels with per-mode frequencies.
+    """A density matrix rho = sum_k w_k |v_k><v_k| on (dim)^n_modes levels.
 
-    The state is stored either densely (matrix), as weighted pure components
-    (weights w_k and column vectors v_k with rho = sum_k w_k |v_k><v_k|), or
-    both.  Components let conjugations and moment evaluations run on stacked
-    vectors instead of dense matrices; the dense form is assembled lazily.
-    leak records trace lost to cutoff projections.
+    The state is held as its weighted pure components: the weights w_k and
+    the column vectors v_k, stacked dim^n x r.  Conjugations, moments and
+    spectra run on the stacked vectors; ``dense`` assembles the matrix on
+    each call.  leak records trace lost to cutoff projections.
     """
 
     dim: int
     freqs: np.ndarray
-    matrix: np.ndarray | None = None
-    weights: np.ndarray | None = None
-    vectors: np.ndarray | None = None
+    weights: np.ndarray
+    vectors: np.ndarray
     leak: float = 0.0
 
     def __post_init__(self):
@@ -80,21 +78,10 @@ class TruncatedDensityMatrix:
         if np.any(freqs <= 0):
             raise ValidationError("mode frequencies must be positive")
         _check_dim(self.dim)
-        size = self.dim ** freqs.size
-        if self.matrix is None and self.weights is None:
-            raise ValidationError("state needs a matrix or pure components")
-        if self.matrix is not None:
-            matrix = np.asarray(self.matrix, dtype=complex)
-            if matrix.shape != (size, size):
-                raise ValidationError(
-                    f"matrix shape {matrix.shape} does not match cutoff {self.dim}"
-                )
-            self.matrix = matrix
-        if self.weights is not None:
-            self.weights = np.asarray(self.weights, dtype=float).reshape(-1)
-            self.vectors = np.asarray(self.vectors, dtype=complex)
-            if self.vectors.shape != (size, self.weights.size):
-                raise ValidationError("component vectors must be columns of size^n")
+        self.weights = np.asarray(self.weights, dtype=float).reshape(-1)
+        self.vectors = np.asarray(self.vectors, dtype=complex)
+        if self.vectors.shape != (self.dim**freqs.size, self.weights.size):
+            raise ValidationError("component vectors must be columns of size^n")
         self.freqs = freqs
 
     @property
@@ -102,38 +89,34 @@ class TruncatedDensityMatrix:
         return self.freqs.size
 
     def dense(self) -> np.ndarray:
-        """The density matrix itself, assembled from components if needed."""
-        if self.matrix is None:
-            self.matrix = (self.vectors * self.weights) @ self.vectors.conj().T
-        return self.matrix
-
-    def _component_parts(self) -> tuple[np.ndarray, np.ndarray]:
-        """Weights and stacked vectors, decomposing the matrix if needed.
-
-        Every positive eigenvalue is kept, so moments taken from the
-        components lose none of the matrix's high levels.
-        """
-        if self.weights is None:
-            eigs, vecs = np.linalg.eigh(self.matrix)
-            keep = eigs > 0.0
-            self.weights = eigs[keep]
-            self.vectors = np.ascontiguousarray(vecs[:, keep], dtype=complex)
-        return self.weights, self.vectors
+        """The density matrix (V w) V^H, assembled on each call."""
+        return (self.vectors * self.weights) @ self.vectors.conj().T
 
 
 def density_matrix(matrix, freqs, dim: int | None = None) -> TruncatedDensityMatrix:
-    """Wrap and validate an explicit density matrix."""
+    """Validate an explicit density matrix and keep it as its eigencomponents.
+
+    Every positive eigenvalue is kept, so moments taken from the components
+    lose none of the matrix's high levels.
+    """
     matrix = np.asarray(matrix, dtype=complex)
     freqs = np.atleast_1d(np.asarray(freqs, dtype=float))
     if dim is None:
         dim = round(matrix.shape[0] ** (1.0 / freqs.size))
+    size = dim**freqs.size
+    if matrix.shape != (size, size):
+        raise ValidationError(f"matrix shape {matrix.shape} does not match cutoff {dim}")
     herm = float(np.max(np.abs(matrix - matrix.T.conj())))
     if herm > 1e-12:
         raise ValidationError(f"matrix not Hermitian (residual {herm:.3e})")
     tr = float(np.real(np.trace(matrix)))
     if abs(tr - 1.0) > 1e-10:
         raise ValidationError(f"trace {tr} differs from 1")
-    return TruncatedDensityMatrix(dim=dim, freqs=freqs, matrix=matrix)
+    eigs, vecs = np.linalg.eigh(matrix)
+    keep = eigs > 0.0
+    return TruncatedDensityMatrix(
+        dim=dim, freqs=freqs, weights=eigs[keep], vectors=np.ascontiguousarray(vecs[:, keep])
+    )
 
 
 def pure_state(vector, freqs, dim: int | None = None) -> TruncatedDensityMatrix:
@@ -227,22 +210,20 @@ def _occupations(dim: int, n_modes: int) -> list[np.ndarray]:
 
 
 def _population_diagonal(rho: TruncatedDensityMatrix) -> np.ndarray:
-    if rho.weights is not None:
-        return (np.abs(rho.vectors) ** 2) @ rho.weights
-    return np.real(np.diag(rho.matrix)).copy()
+    return (np.abs(rho.vectors) ** 2) @ rho.weights
 
 
-def _tail_measure(rho: TruncatedDensityMatrix) -> float:
-    """Largest per-mode population in the top two cutoff levels, plus leak."""
+def _require_tail(rho: TruncatedDensityMatrix, where: str) -> np.ndarray:
+    """The population diagonal, once its tail is checked.
+
+    The tail is the largest per-mode population in the top two cutoff
+    levels, plus leak.
+    """
     diag = _population_diagonal(rho)
     worst = 0.0
     for occ in _occupations(rho.dim, rho.n_modes):
         worst = max(worst, float(diag[occ >= rho.dim - 2].sum()))
-    return worst + rho.leak
-
-
-def _require_tail(rho: TruncatedDensityMatrix, where: str) -> None:
-    tail = _tail_measure(rho)
+    tail = worst + rho.leak
     if tail > TAIL_ERROR:
         raise TruncationError(
             f"{where}: tail population {tail:.3e} exceeds {TAIL_ERROR}"
@@ -253,6 +234,7 @@ def _require_tail(rho: TruncatedDensityMatrix, where: str) -> None:
             TruncationWarning,
             stacklevel=3,
         )
+    return diag
 
 
 def moments_of(rho: TruncatedDensityMatrix) -> tuple[np.ndarray, np.ndarray]:
@@ -265,7 +247,7 @@ def moments_of(rho: TruncatedDensityMatrix) -> tuple[np.ndarray, np.ndarray]:
     <q_i> and <q_i q_j>.
     """
     _require_tail(rho, "moments_of")
-    weights, vectors = rho._component_parts()
+    weights, vectors = rho.weights, rho.vectors
     n, dim = rho.n_modes, rho.dim
     t = vectors.reshape((dim,) * n + (-1,))
     root = np.sqrt(np.arange(1.0, dim))
@@ -293,8 +275,7 @@ def moments_of(rho: TruncatedDensityMatrix) -> tuple[np.ndarray, np.ndarray]:
 
 def energy_of(rho: TruncatedDensityMatrix) -> float:
     """Mean energy sum_m omega_m <n_m>."""
-    _require_tail(rho, "energy_of")
-    diag = _population_diagonal(rho)
+    diag = _require_tail(rho, "energy_of")
     total = 0.0
     for w, occ in zip(rho.freqs, _occupations(rho.dim, rho.n_modes)):
         total += w * float(diag @ occ)
@@ -307,8 +288,7 @@ def _spectrum(rho: TruncatedDensityMatrix) -> np.ndarray:
     rho = A A^H for A = V sqrt(w), and A^H A = sqrt(w) V^H V sqrt(w) has the
     same nonzero eigenvalues; those of rho it lacks are zero.
     """
-    weights, vectors = rho._component_parts()
-    scaled = vectors * np.sqrt(weights)
+    scaled = rho.vectors * np.sqrt(rho.weights)
     return np.linalg.eigvalsh(scaled.conj().T @ scaled)
 
 
@@ -325,14 +305,14 @@ def ergotropy_of(rho: TruncatedDensityMatrix) -> float:
     The zero eigenvalues that the component spectrum leaves out pair with
     the highest levels and add nothing to the passive energy.
     """
-    _require_tail(rho, "ergotropy_of")
+    diag = _require_tail(rho, "ergotropy_of")
     eigs = _spectrum(rho)[::-1]
     levels = np.zeros(rho.dim**rho.n_modes)
     for w, occ in zip(rho.freqs, _occupations(rho.dim, rho.n_modes)):
         levels += w * occ
     k = min(eigs.size, levels.size)
     passive_energy = float(np.clip(eigs[:k], 0.0, None) @ np.sort(levels)[:k])
-    return energy_of(rho) - passive_energy
+    return float(diag @ levels) - passive_energy
 
 
 _I_POWERS = np.array([1.0, 1.0j, -1.0, -1.0j])
@@ -544,12 +524,11 @@ def apply_gaussian_unitary(
     """
     if op.n_modes != rho.n_modes:
         raise ValidationError("operation and state mode counts differ")
-    weights, vectors = rho._component_parts()
     start = time.perf_counter()
     factors = _unitary_factors(op, rho.dim)
     built = time.perf_counter()
-    small = _apply_factors(factors, vectors, rho.dim, rho.n_modes)
-    kept_mass = float(np.sum(weights * np.sum(np.abs(small) ** 2, axis=0)))
+    small = _apply_factors(factors, rho.vectors, rho.dim, rho.n_modes)
+    kept_mass = float(np.sum(rho.weights * np.sum(np.abs(small) ** 2, axis=0)))
     leak = rho.leak + max(0.0, 1.0 - rho.leak - kept_mass)
     stats = {
         "kind": op.kind,
@@ -567,7 +546,7 @@ def apply_gaussian_unitary(
     return TruncatedDensityMatrix(
         dim=rho.dim,
         freqs=rho.freqs,
-        weights=weights.copy(),
+        weights=rho.weights.copy(),
         vectors=small,
         leak=leak,
     )

@@ -23,11 +23,11 @@ import numpy as np
 from .core import (
     MomentState,
     _bisect,
+    gaussian_entropy,
     mean_energy,
     occupation_entropy,
     require_valid,
     state_entropy,
-    symplectic_spectrum,
     thermal_state,
 )
 from .exceptions import TruncationError, ValidationError
@@ -239,10 +239,9 @@ def fixed_entropy_state(
     u[0, 0] = u[level, level] = math.cos(phi)
     u[level, 0] = math.sin(phi)
     u[0, level] = -math.sin(phi)
-    rho = u @ np.diag(pops) @ u.T
-    from .fock import density_matrix  # loads the oracle, not SciPy: only the search needs it
+    from .fock import mixture  # loads the oracle, not SciPy: only the search needs it
 
-    state = density_matrix(rho, [freq], cutoff)
+    state = mixture(pops, u.T, [freq], cutoff)  # the columns of u, weighted by pops
     return FixedEntropyConstruction(
         state=state,
         level=level,
@@ -325,9 +324,9 @@ def ergotropy_gap(
     (generally non-Gaussian) unitaries approaches it.  With ``entropy=None``
     the entropy of the maximum-entropy state with these moments is used.
     """
-    require_valid(state)
+    spectrum = require_valid(state)
     energy = mean_energy(state)
-    s0 = state_entropy(state) if entropy is None else float(entropy)
+    s0 = gaussian_entropy(spectrum) if entropy is None else float(entropy)
     if s0 < 0:
         raise ValidationError("entropy must be nonnegative")
     e_min = _min_energy_at_entropy(state.freqs, s0)
@@ -338,7 +337,7 @@ def ergotropy_gap(
         )
     total = max(energy - e_min, 0.0)
     if state.n_modes == 1:
-        floor = minimal_gaussian_energy(symplectic_spectrum(state.cov), state.freqs)
+        floor = minimal_gaussian_energy(spectrum, state.freqs)
         gaussian = energy - floor
     else:
         gaussian = nmode_gaussian_ergotropy(state).extracted_work

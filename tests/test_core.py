@@ -92,6 +92,27 @@ def test_validate_asymmetric_covariance():
     assert any("symmetric" in v for v in report.violations)
 
 
+def test_symmetry_check_scales_with_the_covariance():
+    # an asymmetry of 1e-6 is rounding at entries of 1e6, but not at entries of 1
+    cov = np.diag([1e6, 1e6, 3.0, 3.0])
+    cov[0, 2] = cov[2, 0] = 0.5
+    cov[0, 2] += 1e-6
+    assert validate_state(MomentState(freqs=[1.0, 2.0], x=np.zeros(4), cov=cov)).ok
+    cov[0, 2] += 1e-2
+    report = validate_state(MomentState(freqs=[1.0, 2.0], x=np.zeros(4), cov=cov))
+    assert report.violations[0].startswith("covariance not symmetric")
+    small = np.diag([1.5, 1.5, 3.0, 3.0])
+    small[0, 2] = 1e-6
+    assert not validate_state(MomentState(freqs=[1.0, 2.0], x=np.zeros(4), cov=small)).ok
+
+
+def test_require_valid_returns_the_spectrum_it_checked():
+    cov = np.diag([1.5, 1.5, 3.0, 3.0])
+    cov[0, 2] = cov[2, 0] = 0.4
+    st = MomentState(freqs=[1.0, 2.0], x=np.zeros(4), cov=cov)
+    assert np.array_equal(require_valid(st), symplectic_spectrum(cov))
+
+
 def test_squeezed_state_passes_uncertainty():
     st = MomentState(
         freqs=[1.0], x=[0.0, 0.0], cov=np.diag([math.exp(-2), math.exp(2)])

@@ -460,6 +460,19 @@ def test_symmetric_steps_certify_strongly_squeezed_states(r):
         assert after <= before + 1e-9 * max(1.0, abs(before))
 
 
+@pytest.mark.parametrize("r", [8.85, 9.5, 9.7])
+def test_unsymmetrized_strongly_squeezed_states_validate_and_certify(r):
+    # S @ diag @ S.T leaves Gamma asymmetric by rounding (relative 3-9e-17,
+    # absolute 3.7e-9 to 7.5e-9); an absolute symmetry check rejected these
+    st, nus = squeezed_three_mode(r)
+    assert not np.array_equal(st.cov, st.cov.T)
+    report = nmode_gaussian_ergotropy(st)
+    assert report.certificate.passive
+    assert np.array_equal(report.final_state.cov, report.final_state.cov.T)
+    floor = minimal_gaussian_energy(nus, st.freqs)
+    assert abs(report.final_energy - floor) <= 1e-8 * max(1.0, abs(floor))
+
+
 def test_a_sweep_without_a_step_is_a_fixed_point():
     # the coupling between modes 0 and 2 is isotropic and 5e-9: above the
     # certificate's 1e-9, but its squeeze root is 0 and its beam-splitter

@@ -169,7 +169,6 @@ def test_entropy_and_ergotropy_match_the_dense_spectrum(make):
     entropy, ergotropy = _entropy_and_ergotropy_from_dense(rho)
     assert entropy_of(rho) == pytest.approx(entropy, rel=1e-12, abs=1e-14)
     assert ergotropy_of(rho) == pytest.approx(ergotropy, rel=1e-12, abs=1e-14)
-    assert rho.matrix is None
 
 
 def test_tail_checks():
@@ -183,6 +182,31 @@ def test_tail_checks():
     )
     with pytest.warns(TruncationWarning):
         energy_of(leaky)
+
+
+def test_ergotropy_checks_the_tail_once():
+    # ergotropy_of used to check the tail, then call energy_of, which checked
+    # it again: two warnings, the second attributed to fock.py
+    leaky = mixture(
+        [1.0 - 6e-6, 6e-6], [np.eye(20)[0], np.eye(20)[19]], [1.0]
+    )
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        value = ergotropy_of(leaky)
+    assert len(caught) == 1
+    assert issubclass(caught[0].category, TruncationWarning)
+    assert str(caught[0].message).startswith("ergotropy_of:")
+    assert caught[0].filename == __file__
+    assert value == pytest.approx(19 * 6e-6 - 6e-6, rel=1e-9)  # |19> onto |1>
+
+
+def test_density_matrix_keeps_its_eigencomponents():
+    matrix = thermal_fock_state(0.5, [1.0], 30).dense()
+    rho = density_matrix(matrix, [1.0])
+    assert abs(float(rho.weights.sum()) - 1.0) <= 1e-12
+    assert np.max(np.abs(rho.dense() - matrix)) <= 1e-12
+    with pytest.raises(ValidationError, match="does not match cutoff"):
+        density_matrix(matrix, [1.0], 20)
 
 
 def test_dense_and_component_forms_agree():

@@ -210,6 +210,15 @@ def test_fixed_entropy_construction_values():
     assert np.isclose(energy_of(c.state), 2.0, atol=1e-9)
 
 
+def test_fixed_entropy_state_is_the_rotated_thermal_components():
+    c = fixed_entropy_state(5.0, 2.0 * LN2, cutoff=60)
+    vectors = c.state.vectors
+    assert vectors.shape == (60, 60)
+    assert np.max(np.abs(vectors.conj().T @ vectors - np.eye(60))) <= 1e-15
+    pops = math.exp(-c.beta) ** np.arange(60)
+    assert np.allclose(c.state.weights, pops / pops.sum(), rtol=1e-12, atol=0.0)
+
+
 def test_fixed_entropy_zero_excess_keeps_the_thermal_state():
     c = fixed_entropy_state(3.0, 2.0 * LN2)
     assert c.mixing == 0.0
