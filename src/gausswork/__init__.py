@@ -1,5 +1,11 @@
 """Gaussian passivity, work extraction, and Fock-space verification tools.
 
+One function answers each question for every mode count: the passivity
+verdict (``is_gaussian_passive``), the optimal Gaussian extraction with its
+protocol (``gaussian_ergotropy``), the gap to unrestricted extraction
+(``ergotropy_gap``), and the zero-entropy witness with matching moments
+(``pure_match_for_state``, one or two modes).
+
 ``__getattr__`` below imports the Fock oracle (``gausswork.fock``) on first use
 of one of its names, so the moment-level layers start without it.  SciPy is
 needed only by the oracle's direct search (``brute_force_min_energy``), which
@@ -34,12 +40,10 @@ from .extraction import (
     ExtractionReport,
     PassivityVerdict,
     StandardFormParams,
-    all_pairs_gaussian_passive,
     bs_angle,
     gaussian_ergotropy,
     is_gaussian_passive,
     minimal_gaussian_energy,
-    nmode_gaussian_ergotropy,
     reduce_to_standard_form,
     thermal_product_passivity,
     tms_parameter,
@@ -64,8 +68,6 @@ from .gap import (
     fixed_entropy_state,
     match_pure_state,
     pure_match_for_state,
-    pure_match_state,
-    pure_match_two_mode,
     pure_match_vector,
     thermal_beta_for_entropy,
     thermal_swap_witness,
@@ -114,12 +116,10 @@ __all__ = [
     "ExtractionReport",
     "PassivityVerdict",
     "StandardFormParams",
-    "all_pairs_gaussian_passive",
     "bs_angle",
     "gaussian_ergotropy",
     "is_gaussian_passive",
     "minimal_gaussian_energy",
-    "nmode_gaussian_ergotropy",
     "reduce_to_standard_form",
     "thermal_product_passivity",
     "tms_parameter",
@@ -157,8 +157,6 @@ __all__ = [
     "fixed_entropy_state",
     "match_pure_state",
     "pure_match_for_state",
-    "pure_match_state",
-    "pure_match_two_mode",
     "pure_match_vector",
     "thermal_beta_for_entropy",
     "thermal_swap_witness",

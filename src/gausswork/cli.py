@@ -29,12 +29,7 @@ from .exceptions import (
     TruncationError,
     ValidationError,
 )
-from .extraction import (
-    all_pairs_gaussian_passive,
-    gaussian_ergotropy,
-    minimal_gaussian_energy,
-    nmode_gaussian_ergotropy,
-)
+from .extraction import gaussian_ergotropy, is_gaussian_passive, minimal_gaussian_energy
 from .fileio import (
     load_protocol_steps,
     load_state,
@@ -71,7 +66,7 @@ def cmd_validate(args) -> int:
 def cmd_check(args) -> int:
     state = load_state(args.path)
     require_valid(state)
-    verdict = all_pairs_gaussian_passive(state, args.tol)
+    verdict = is_gaussian_passive(state, args.tol)
     _emit_json(verdict_to_dict(verdict))
     return 0
 
@@ -95,15 +90,8 @@ def cmd_spectrum(args) -> int:
 
 def cmd_extract(args) -> int:
     state = load_state(args.path)
-    if state.n_modes > 2 and not args.nmode:
-        raise ValidationError(
-            f"state has {state.n_modes} modes; pass --nmode for more than two"
-        )
-    if state.n_modes < 2:
-        raise ValidationError("work extraction needs at least two modes")
-    extract = nmode_gaussian_ergotropy if args.nmode else gaussian_ergotropy
     try:
-        report = extract(state)
+        report = gaussian_ergotropy(state)
     except ConvergenceError as exc:
         if args.trace is not None:
             write_trace_csv(exc.steps, args.trace)
@@ -245,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace", default=None, help="write the CSV trace table here")
     p.add_argument(
         "--nmode", action="store_true",
-        help="use the pairwise-sweep pipeline (required above two modes)",
+        help="accepted and ignored: every mode count takes the same extraction",
     )
     p.set_defaults(func=cmd_extract)
 

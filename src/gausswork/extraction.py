@@ -1,16 +1,17 @@
 r"""Gaussian passivity verdicts and optimal Gaussian work extraction.
 
-The two-mode pipeline synthesizes an explicit protocol of elementary
-operations: zero the first moments, bring the pair to standard form, apply
-the two-mode squeeze after which local squeezes leave the coupling block
-isotropic, then split the modes apart with one beam splitter.  That squeeze
-is the closed-form root of an isotropy condition, taken when it lies between
-0 and twice the energy-optimal squeeze r*, where no squeeze raises the
-energy; otherwise the pipeline applies the pair's beam splitter, which cannot
-raise the energy either, and reduces again.
-The endpoint carries the symplectic spectrum sorted against the mode
-frequencies, which is the least mean energy any Gaussian operation can
-reach.
+One verdict and one extraction serve every mode count.  The extraction
+zeroes the first moments, then sweeps over mode pairs with the two-mode
+prescription: bring the pair to standard form, apply the two-mode squeeze
+after which local squeezes leave the coupling block isotropic, then split the
+modes apart with one beam splitter.  That squeeze is the closed-form root of
+an isotropy condition, taken when it lies between 0 and twice the
+energy-optimal squeeze r*, where no squeeze raises the energy; otherwise the
+pipeline applies the pair's beam splitter, which cannot raise the energy
+either, and reduces again.  One mode takes the same local turn and squeeze
+with no pair.  The endpoint carries the symplectic spectrum sorted against
+the mode frequencies, which is the least mean energy any Gaussian operation
+can reach.
 """
 
 from __future__ import annotations
@@ -80,7 +81,7 @@ class ExtractionReport:
     certificate: PassivityVerdict
     spectrum: np.ndarray
     optimality_gap: float
-    sweeps: int | None = None  # whole-state verdicts taken; None on two-mode reports
+    sweeps: int  # whole-state verdicts taken
 
 
 def _passivity(freqs: np.ndarray, x: np.ndarray, cov: np.ndarray, tol: float) -> PassivityVerdict:
@@ -159,18 +160,7 @@ def _passivity(freqs: np.ndarray, x: np.ndarray, cov: np.ndarray, tol: float) ->
 
 
 def is_gaussian_passive(state: MomentState, tol: float = DEFAULT_TOL) -> PassivityVerdict:
-    """Decide whether any Gaussian operation can lower this two-mode state's energy."""
-    if state.n_modes != 2:
-        raise ValidationError(
-            "is_gaussian_passive handles two modes; use all_pairs_gaussian_passive"
-        )
-    return _passivity(state.freqs, state.x, state.cov, tol)
-
-
-def all_pairs_gaussian_passive(state: MomentState, tol: float = DEFAULT_TOL) -> PassivityVerdict:
-    """Gaussian passivity of a state of two or more modes, from the whole covariance."""
-    if state.n_modes < 2:
-        raise ValidationError("need at least two modes")
+    """Decide whether any Gaussian operation can lower this state's energy, for any mode count."""
     return _passivity(state.freqs, state.x, state.cov, tol)
 
 
@@ -271,6 +261,32 @@ class _Run:
         return state
 
 
+def _reduce_mode(state: MomentState, m: int, run: _Run, stage: str) -> MomentState:
+    """Turn and squeeze mode m's local block to a multiple of 1.
+
+    The block [[p, q], [q, s]] is turned by theta = atan2(2q, p - s)/2 + pi/2,
+    folded into (-pi/2, pi/2], which puts its smaller eigenvalue
+    lam- = (ps - q^2)/lam+ on x, then squeezed to sqrt(lam+ lam-) * 1.
+    """
+    n = state.n_modes
+    (p, q), (_, s) = state.cov[2 * m : 2 * m + 2, 2 * m : 2 * m + 2].tolist()
+    scale = max(abs(p), abs(s), 1.0)
+    if abs(q) <= 1e-13 * scale:
+        if abs(p - s) > 1e-13 * scale:
+            state = run.emit(squeeze(0.25 * math.log(p / s), m, n), stage, state)
+    else:
+        theta = 0.5 * math.atan2(2.0 * q, p - s) + 0.5 * math.pi
+        if theta > 0.5 * math.pi:
+            theta -= math.pi
+        if abs(theta) > _STEP_EPS:
+            state = run.emit(rotation(theta, m, n), stage, state)
+        lam_hi = 0.5 * (p + s) + math.hypot(0.5 * (p - s), q)
+        r = 0.25 * math.log((p * s - q * q) / lam_hi / lam_hi)
+        if abs(r) > _STEP_EPS:
+            state = run.emit(squeeze(r, m, n), stage, state)
+    return state
+
+
 def _reduce_pair(
     state: MomentState,
     i: int,
@@ -280,31 +296,15 @@ def _reduce_pair(
 ) -> tuple[MomentState, StandardFormParams]:
     """Bring the (i, j) blocks to standard form with local operations.
 
-    Each local block [[p, q], [q, s]] is turned by theta = atan2(2q, p - s)/2
-    + pi/2, folded into (-pi/2, pi/2], which puts its smaller eigenvalue
-    lam- = (ps - q^2)/lam+ on x, then squeezed to sqrt(lam+ lam-) * 1.  The
-    cross block C = [[a, b], [c, d]] is R(theta_a)^T diag(d1, d2) R(theta_b)
-    with d1 >= |d2| for theta_a + theta_b = atan2(c + b, a - d) and
+    Each local block goes to a multiple of 1 (_reduce_mode).  The cross block
+    C = [[a, b], [c, d]] is R(theta_a)^T diag(d1, d2) R(theta_b) with
+    d1 >= |d2| for theta_a + theta_b = atan2(c + b, a - d) and
     theta_a - theta_b = atan2(c - b, a + d), so turning mode i by theta_a and
     mode j by theta_b leaves it diagonal.
     """
     n = state.n_modes
     for m in (i, j):
-        (p, q), (_, s) = state.cov[2 * m : 2 * m + 2, 2 * m : 2 * m + 2].tolist()
-        scale = max(abs(p), abs(s), 1.0)
-        if abs(q) <= 1e-13 * scale:
-            if abs(p - s) > 1e-13 * scale:
-                state = run.emit(squeeze(0.25 * math.log(p / s), m, n), stage, state)
-        else:
-            theta = 0.5 * math.atan2(2.0 * q, p - s) + 0.5 * math.pi
-            if theta > 0.5 * math.pi:
-                theta -= math.pi
-            if abs(theta) > _STEP_EPS:
-                state = run.emit(rotation(theta, m, n), stage, state)
-            lam_hi = 0.5 * (p + s) + math.hypot(0.5 * (p - s), q)
-            r = 0.25 * math.log((p * s - q * q) / lam_hi / lam_hi)
-            if abs(r) > _STEP_EPS:
-                state = run.emit(squeeze(r, m, n), stage, state)
+        state = _reduce_mode(state, m, run, stage)
 
     (a, b), (c, d) = state.cov[2 * i : 2 * i + 2, 2 * j : 2 * j + 2].tolist()
     if max(abs(b), abs(c)) > 1e-13 * max(1.0, abs(a), abs(b), abs(c), abs(d)):
@@ -371,8 +371,14 @@ def _pair_extract(state: MomentState, i: int, j: int, run: _Run) -> MomentState:
     return state
 
 
-def _sweep(state: MomentState) -> ExtractionReport:
-    """Displace, then run the two-mode pipeline over mode pairs to a fixed point.
+def gaussian_ergotropy(state: MomentState) -> ExtractionReport:
+    """Maximal Gaussian-extractable work from a state of any mode count, with protocol.
+
+    Displace, then sweep the two-mode pipeline over lexicographic mode pairs
+    (embedded in the full system) to a fixed point; a single mode takes its
+    local turn and squeeze instead.  The steps lower the mean energy
+    monotonically down to the spectral floor; an already-passive state yields
+    zero work and no step beyond removing first moments above 1e-13.
 
     Each sweep opens with the whole-state certificate; the sweeps end when it is
     passive, or when a sweep emits no step and so leaves the state it certified.
@@ -387,10 +393,12 @@ def _sweep(state: MomentState) -> ExtractionReport:
 
     n = state.n_modes
     for sweeps in range(1, MAX_SWEEPS + 1):
-        certificate = all_pairs_gaussian_passive(state, DEFAULT_TOL)
+        certificate = is_gaussian_passive(state, DEFAULT_TOL)
         if certificate.passive:
             break
         emitted = len(run.steps)
+        if n == 1:
+            state = _reduce_mode(state, 0, run, "P2-local")
         for i, j in itertools.combinations(range(n), 2):
             if n == 2:  # the pair is the whole state
                 diagonal = certificate.clause == "i"
@@ -420,7 +428,7 @@ def _sweep(state: MomentState) -> ExtractionReport:
         warnings.warn(
             f"final energy differs from the spectral floor by {gap:.3e}",
             OptimalityWarning,
-            stacklevel=3,  # past the public entry point, to its caller
+            stacklevel=2,
         )
     return ExtractionReport(
         initial_energy=initial_energy,
@@ -435,29 +443,9 @@ def _sweep(state: MomentState) -> ExtractionReport:
     )
 
 
-def gaussian_ergotropy(state: MomentState) -> ExtractionReport:
-    """Maximal Gaussian-extractable work from a two-mode state, with protocol.
-
-    The sweep of nmode_gaussian_ergotropy on its one pair, reported with
-    sweeps=None.  The steps lower the mean energy monotonically down to the
-    spectral floor; an already-passive state yields zero work and no step
-    beyond removing first moments above 1e-13.
-    """
-    if state.n_modes != 2:
-        raise ValidationError("gaussian_ergotropy expects a two-mode state")
-    return dataclasses.replace(_sweep(state), sweeps=None)
-
-
-def nmode_gaussian_ergotropy(state: MomentState) -> ExtractionReport:
-    """Gaussian work extraction on N modes by pairwise sweeps on the joint state.
-
-    Lexicographic mode pairs each take one pass of the two-mode pipeline
-    (embedded in the full system) until the whole state is passive or a
-    sweep emits no step; gaussian_ergotropy is this sweep at two modes.
-    """
-    if state.n_modes < 2:
-        raise ValidationError("nmode_gaussian_ergotropy expects at least two modes")
-    return _sweep(state)
+# the former n-mode names, kept for callers outside the package
+all_pairs_gaussian_passive = is_gaussian_passive
+nmode_gaussian_ergotropy = gaussian_ergotropy
 
 
 def thermal_product_passivity(

@@ -14,7 +14,8 @@ Protocol files::
 
     {
       "initial_energy": ..., "final_energy": ..., "extracted_work": ...,
-      "spectrum": [...],
+      "spectrum": [...], "optimality_gap": ..., "certificate": {...},
+      "sweeps": ...,
       "steps": [{"stage": "P2-local", "kind": "rotation",
                  "parameters": {"theta": ...}, "target_modes": [0],
                  "energy_after": ...}, ...],
@@ -146,19 +147,17 @@ def verdict_to_dict(verdict: PassivityVerdict) -> dict:
 
 
 def protocol_to_dict(report: ExtractionReport) -> dict:
-    out = {
+    return {
         "initial_energy": float(report.initial_energy),
         "final_energy": float(report.final_energy),
         "extracted_work": float(report.extracted_work),
         "spectrum": [float(v) for v in report.spectrum],
         "optimality_gap": float(report.optimality_gap),
         "certificate": verdict_to_dict(report.certificate),
+        "sweeps": int(report.sweeps),
         "steps": [_step_to_dict(s) for s in report.steps],
         "final_state": state_to_dict(report.final_state),
     }
-    if report.sweeps is not None:
-        out["sweeps"] = int(report.sweeps)
-    return out
 
 
 def steps_from_dict(data: dict) -> list[ProtocolStep]:

@@ -240,34 +240,37 @@ def _require_tail(rho: TruncatedDensityMatrix, where: str) -> np.ndarray:
 def moments_of(rho: TruncatedDensityMatrix) -> tuple[np.ndarray, np.ndarray]:
     """First moments and covariance of an oracle state, with tail checks.
 
-    The component vectors v_k form a (dim,)^n x r tensor.  Its ladder images
-    a v[n] = sqrt(n+1) v[n+1] and a' v[n] = sqrt(n) v[n-1] are shifted slices
-    on each mode axis; one Gram product of the stacked images, weighted by
-    w_k and mapped to the quadratures (x_1, p_1, ..., x_N, p_N), gives every
-    <q_i> and <q_i q_j>.
+    With u_k = sqrt(w_k) v_k, <q_i> = Re sum_k <u_k|q_i u_k> and the
+    symmetrized <q_i q_j> = Re sum_k <q_i u_k|q_j u_k>.  The components form
+    a (dim,)^n x r tensor, whose images x_m u = (a_m + a_m') u / sqrt2 and
+    p_m u = -i (a_m - a_m') u / sqrt2 are shifted slices on each mode axis,
+    a u[n] = sqrt(n+1) u[n+1] and a' u[n] = sqrt(n) u[n-1].  The rows u, x_1 u,
+    p_1 u, ..., x_N u, p_N u, read as real vectors, give every moment by one
+    real dot product per pair of rows.
     """
     _require_tail(rho, "moments_of")
-    weights, vectors = rho.weights, rho.vectors
     n, dim = rho.n_modes, rho.dim
-    t = vectors.reshape((dim,) * n + (-1,))
-    root = np.sqrt(np.arange(1.0, dim))
-    images = np.zeros((2 * n + 1,) + t.shape, dtype=complex)
-    images[0] = t
-    # rows: 1, then x_m = (a_m + a_m')/sqrt2 and p_m = -i (a_m - a_m')/sqrt2
-    to_quad = np.zeros((2 * n + 1, 2 * n + 1), dtype=complex)
-    to_quad[0, 0] = 1.0
+    rows = np.zeros((2 * n + 1,) + (dim,) * n + (rho.weights.size,), dtype=complex)
+    t = rows[0]
+    np.multiply(rho.vectors.reshape(t.shape), np.sqrt(rho.weights), out=t)
+    half = np.sqrt(np.arange(1.0, dim) / 2.0)
     for m in range(n):
-        scale = root.reshape((-1,) + (1,) * (n - m))
+        scale = half.reshape((-1,) + (1,) * (n - m))
         lo = (slice(None),) * m + (slice(None, -1),)
         hi = (slice(None),) * m + (slice(1, None),)
-        np.multiply(scale, t[hi], out=images[2 * m + 1][lo])
-        np.multiply(scale, t[lo], out=images[2 * m + 2][hi])
-        to_quad[2 * m + 1, 2 * m + 1 : 2 * m + 3] = (1.0 / _SQRT2, 1.0 / _SQRT2)
-        to_quad[2 * m + 2, 2 * m + 1 : 2 * m + 3] = (-1j / _SQRT2, 1j / _SQRT2)
-    weighted = images.conj()
-    weighted *= weights
-    gram = weighted.reshape(2 * n + 1, -1) @ images.reshape(2 * n + 1, -1).T
-    gram = np.real(to_quad.conj() @ gram @ to_quad.T)
+        x_row, p_row = rows[2 * m + 1], rows[2 * m + 2]
+        np.multiply(scale, t[hi], out=x_row[lo])  # a u / sqrt2
+        np.multiply(x_row[lo], -1j, out=p_row[lo])
+        up = scale * t[lo]  # a' u / sqrt2
+        x_row[hi] += up
+        up *= 1j
+        p_row[hi] += up
+    # separate dot products beat one rows @ rows.T on these long, few rows
+    real = rows.reshape(2 * n + 1, -1).view(float)
+    gram = np.empty((2 * n + 1, 2 * n + 1))
+    for i in range(2 * n + 1):
+        for j in range(i, 2 * n + 1):
+            gram[i, j] = gram[j, i] = real[i] @ real[j]
     x = gram[0, 1:]
     cov = 2.0 * gram[1:, 1:] - 2.0 * np.outer(x, x)
     return x, cov
@@ -295,7 +298,7 @@ def _spectrum(rho: TruncatedDensityMatrix) -> np.ndarray:
 def entropy_of(rho: TruncatedDensityMatrix) -> float:
     """Von Neumann entropy -sum p ln p of the truncated matrix."""
     eigs = _spectrum(rho)
-    eigs = eigs[eigs > 1e-15]
+    eigs = eigs[eigs > 0.0]
     return float(-np.sum(eigs * np.log(eigs)))
 
 

@@ -2,12 +2,15 @@ r"""Witness states for the gap between Gaussian and unrestricted extraction.
 
 Three constructions, all verifiable against the Fock oracle:
 
-* a pure state whose first and second moments match a given thermal-shaped
-  covariance (so the moment-level machinery sees no extractable work while
-  the full state is completely active),
+* a pure state whose first and second moments match those of a one- or
+  two-mode Gaussian-passive state (so the moment-level machinery sees no
+  extractable work while the full state is completely active),
 * a fixed-entropy state with the same property at any prescribed entropy,
 * an explicit two-level population swap that lowers the energy of a pair of
   thermal modes which is passive at the moment level.
+
+The gap report (ergotropy_gap) takes its Gaussian figure for any mode count
+from the spectral floor, in closed form, and runs no extraction.
 """
 
 from __future__ import annotations
@@ -31,12 +34,7 @@ from .core import (
     thermal_state,
 )
 from .exceptions import TruncationError, ValidationError
-from .extraction import (
-    bs_angle,
-    is_gaussian_passive,
-    minimal_gaussian_energy,
-    nmode_gaussian_ergotropy,
-)
+from .extraction import bs_angle, is_gaussian_passive, minimal_gaussian_energy
 from .ops import apply, beam_splitter, inverse, rotation
 
 if TYPE_CHECKING:  # the oracle loads on use; only its direct search needs SciPy
@@ -46,8 +44,6 @@ __all__ = [
     "PureMatch",
     "match_pure_state",
     "pure_match_vector",
-    "pure_match_state",
-    "pure_match_two_mode",
     "pure_match_for_state",
     "thermal_beta_for_entropy",
     "FixedEntropyConstruction",
@@ -97,57 +93,47 @@ def pure_match_vector(match: PureMatch, dim: int) -> np.ndarray:
     return v
 
 
-def pure_match_state(nu: float, freq: float, dim: int) -> TruncatedDensityMatrix:
-    """Single-mode oracle state with moments (x=0, cov=nu*I) but zero entropy."""
-    from .fock import pure_state
-
-    match = match_pure_state(nu)
-    return pure_state(pure_match_vector(match, dim), [freq], dim)
-
-
-def pure_match_two_mode(
-    nu_a: float, nu_b: float, freqs, dim: int
-) -> TruncatedDensityMatrix:
-    """Product of pure matches: moments of diag(nu_a,nu_a,nu_b,nu_b), entropy 0."""
-    from .fock import pure_state
-
-    va = pure_match_vector(match_pure_state(nu_a), dim)
-    vb = pure_match_vector(match_pure_state(nu_b), dim)
-    return pure_state(np.kron(va, vb), freqs, dim)
-
-
 def pure_match_for_state(state: MomentState, dim: int) -> TruncatedDensityMatrix:
-    """Zero-entropy oracle state with the moments of a Gaussian-passive pair.
+    """Zero-entropy oracle state with the moments of a Gaussian-passive one- or two-mode state.
 
-    Covariances with correlated blocks (the equal-frequency passive case,
-    cross block c*1 + d*Omega) are first brought to a product by an
-    energy-preserving rotation of mode 1, which turns the cross block into
-    hypot(c, d)*1, and a beam splitter; the product is matched mode by mode,
-    then un-rotated in the oracle.
+    A product covariance, each mode's block nu_m*1, is matched mode by mode:
+    the oracle state is the Kronecker product of the pure matches.  A pair
+    with correlated blocks (the equal-frequency passive case, cross block
+    c*1 + d*Omega) is first brought to a product by an energy-preserving
+    rotation of mode 1, which turns the cross block into hypot(c, d)*1, and a
+    beam splitter; the product is matched, then un-rotated in the oracle.
     """
-    from .fock import apply_gaussian_unitary
+    from .fock import apply_gaussian_unitary, pure_state
 
+    if state.n_modes > 2:
+        raise ValidationError("pure matching handles one or two modes")
     verdict = is_gaussian_passive(state)
     if not verdict.passive:
         raise ValidationError(
             "pure matching needs a Gaussian-passive state; violations: "
             + "; ".join(verdict.violations)
         )
-    cov = state.cov
-    c = 0.5 * (cov[0, 2] + cov[1, 3])
-    d = 0.5 * (cov[0, 3] - cov[1, 2])
-    coupling = math.hypot(c, d)
-    if coupling <= 1e-12:
-        return pure_match_two_mode(cov[0, 0], cov[2, 2], state.freqs, dim)
-    a_t = 0.5 * (cov[0, 0] + cov[1, 1])
-    b_t = 0.5 * (cov[2, 2] + cov[3, 3])
-    turn = rotation(math.atan2(d, c), 1, 2)
-    splitter = beam_splitter(bs_angle(a_t, b_t, coupling), (0, 1), 2)
-    rotated = apply(splitter, apply(turn, state))
-    rho = pure_match_two_mode(
-        rotated.cov[0, 0], rotated.cov[2, 2], state.freqs, dim
-    )
-    return apply_gaussian_unitary(inverse(turn), apply_gaussian_unitary(inverse(splitter), rho))
+    undo = []
+    if state.n_modes == 2:
+        cov = state.cov
+        c = 0.5 * (cov[0, 2] + cov[1, 3])
+        d = 0.5 * (cov[0, 3] - cov[1, 2])
+        coupling = math.hypot(c, d)
+        if coupling > 1e-12:
+            a_t = 0.5 * (cov[0, 0] + cov[1, 1])
+            b_t = 0.5 * (cov[2, 2] + cov[3, 3])
+            turn = rotation(math.atan2(d, c), 1, 2)
+            splitter = beam_splitter(bs_angle(a_t, b_t, coupling), (0, 1), 2)
+            state = apply(splitter, apply(turn, state))
+            undo = [inverse(splitter), inverse(turn)]
+    vector = np.ones(1)
+    for m in range(state.n_modes):
+        match = match_pure_state(state.cov[2 * m, 2 * m])
+        vector = np.kron(vector, pure_match_vector(match, dim))
+    rho = pure_state(vector, state.freqs, dim)
+    for op in undo:
+        rho = apply_gaussian_unitary(op, rho)
+    return rho
 
 
 def thermal_beta_for_entropy(entropy: float, freq: float = 1.0) -> float:
@@ -319,7 +305,10 @@ def ergotropy_gap(
 ) -> GapReport:
     """Compare Gaussian-extractable work with the entropy-limited maximum.
 
-    The total figure is E - E_min(S): no unitary protocol can push the state
+    The Gaussian figure is E minus the spectral floor, the least energy any
+    Gaussian operation reaches (minimal_gaussian_energy), and exactly 0 for a
+    state the passivity certificate accepts; no extraction runs.  The total
+    figure is E - E_min(S): no unitary protocol can push the state
     below the least energy compatible with its entropy, and some sequence of
     (generally non-Gaussian) unitaries approaches it.  With ``entropy=None``
     the entropy of the maximum-entropy state with these moments is used.
@@ -336,12 +325,10 @@ def ergotropy_gap(
             f"the least compatible energy is {e_min}"
         )
     total = max(energy - e_min, 0.0)
-    if state.n_modes == 1:
-        floor = minimal_gaussian_energy(spectrum, state.freqs)
-        gaussian = energy - floor
+    if is_gaussian_passive(state).passive:
+        gaussian = 0.0
     else:
-        gaussian = nmode_gaussian_ergotropy(state).extracted_work
-    gaussian = max(gaussian, 0.0)
+        gaussian = max(energy - minimal_gaussian_energy(spectrum, state.freqs), 0.0)
     free_gap = None
     if t_ref is not None:
         if t_ref <= 0:

@@ -26,8 +26,7 @@ from gausswork import (
     minimal_gaussian_energy,
     mixture,
     moments_of,
-    nmode_gaussian_ergotropy,
-    pure_match_state,
+    pure_match_for_state,
     thermal_fock_state,
     thermal_product_passivity,
     thermal_swap_witness,
@@ -183,7 +182,7 @@ def test_criterion_05_pure_moment_match():
         for nu in (1.0, 2.2, 4.0, 7.0, 11.6):
             occ = (nu - 1.0) / 2.0
             dim = int(math.floor(occ)) + 20 + 4
-            rho = pure_match_state(nu, 1.0, dim)
+            rho = pure_match_for_state(MomentState(freqs=[1.0], x=np.zeros(2), cov=nu * np.eye(2)), dim)
             x, cov = moments_of(rho)
             worst_cov = max(worst_cov, float(np.max(np.abs(cov - nu * np.eye(2)))))
             worst_x = max(worst_x, float(np.linalg.norm(x)))
@@ -324,7 +323,7 @@ def test_criterion_10_three_mode_sweeps():
             x=np.zeros(6),
             cov=np.diag(np.repeat([1.2, 2.0, 3.0], 2)),
         )
-        report = nmode_gaussian_ergotropy(st)
+        report = gaussian_ergotropy(st)
         resid = abs(report.final_energy - 2.3)
         assert resid <= 1e-8
         assert report.sweeps is not None and report.sweeps <= 5

@@ -121,6 +121,18 @@ def test_check_reports_clause(capsys, passive_file, misordered_file):
     assert "spectrum ordering violates frequency ordering" in payload["violations"]
 
 
+def test_check_answers_a_single_mode(capsys, tmp_path):
+    squeezed = write_state(tmp_path / "one.json", [1.0], np.diag([0.5, 2.0]))
+    code, payload, _ = run_json(capsys, ["check", squeezed])
+    assert code == 0
+    assert payload["passive"] is False
+    assert payload["violations"] == ["covariance not in Williamson form"]
+    thermal = write_state(tmp_path / "thermal.json", [1.0], 3.0 * np.eye(2))
+    code, payload, _ = run_json(capsys, ["check", thermal])
+    assert code == 0
+    assert payload["passive"] is True and payload["clause"] == "i"
+
+
 def test_check_rejects_invalid_state(capsys, tmp_path):
     path = write_state(tmp_path / "bad.json", [1.0, 1.0], 0.5 * np.eye(4))
     code, _, err = run_json(capsys, ["check", path])
@@ -243,25 +255,28 @@ def test_extract_misordered_thermal(capsys, misordered_file):
     assert payload["steps"] == 1
 
 
-def test_extract_three_modes_needs_the_flag(capsys, tmp_path):
+def test_extract_three_modes_without_the_flag(capsys, tmp_path):
+    # --nmode is accepted and changes nothing
     path = write_state(
         tmp_path / "three.json",
         [1.0, 2.0, 3.0],
         np.diag(np.repeat([1.2, 2.0, 3.0], 2)),
     )
-    code, _, err = run_json(capsys, ["extract", path])
-    assert code == 1
-    assert "--nmode" in err
-    code, payload, _ = run_json(capsys, ["extract", path, "--nmode"])
+    code, payload, _ = run_json(capsys, ["extract", path])
     assert code == 0
     assert np.isclose(payload["extracted_work"], 1.8, atol=1e-8)
+    code, flagged, _ = run_json(capsys, ["extract", path, "--nmode"])
+    assert code == 0
+    assert flagged == payload
 
 
-def test_extract_single_mode_rejected(capsys, tmp_path):
+def test_extract_single_mode(capsys, tmp_path):
+    # squeezed vacuum: the closed-form work is E - omega (nu - 1) / 2 = 0.125
     path = write_state(tmp_path / "one.json", [1.0], np.diag([0.5, 2.0]))
-    code, _, err = run_json(capsys, ["extract", path])
-    assert code == 1
-    assert "two modes" in err
+    code, payload, _ = run_json(capsys, ["extract", path])
+    assert code == 0
+    assert payload["extracted_work"] == pytest.approx(0.125, abs=1e-15)
+    assert payload["passive"] is True and payload["steps"] == 1
 
 
 def test_extract_convergence_failure_writes_partial_trace(capsys, tmp_path, monkeypatch):
@@ -398,6 +413,27 @@ def test_oracle_verify_without_protocol(capsys, misordered_file):
     assert np.isclose(payload["spectral_floor"], 1.5, atol=1e-12)
     assert abs(payload["floor_residual"]) < 1e-4
     assert "replay_residual" not in payload
+
+
+def test_oracle_verify_replays_a_single_mode_protocol(capsys, tmp_path):
+    # displaced, rotated and squeezed thermal mode: three steps, replayed in Fock space
+    cov = np.array([[1.3, 0.2], [0.2, 0.9]])
+    path = write_state(tmp_path / "one.json", [1.5], cov, x=[0.4, -0.3])
+    out = tmp_path / "protocol.json"
+    code, payload, _ = run_json(capsys, ["extract", path, "--out", str(out)])
+    assert code == 0
+    assert payload["passive"] is True and payload["steps"] == 3
+    protocol = json.loads(out.read_text())
+    assert [s["kind"] for s in protocol["steps"]] == ["displacement", "rotation", "squeeze"]
+    code, payload, _ = run_json(
+        capsys, ["oracle-verify", path, "--protocol", str(out), "--cutoff", "40"]
+    )
+    assert code == 0
+    assert payload["replay_residual"] <= 1e-6
+    assert payload["moment_residual"] <= 1e-6
+    assert payload["energy_residual"] <= 1e-6
+    assert np.allclose(payload["spectrum"], [math.sqrt(1.3 * 0.9 - 0.04)], atol=1e-12)
+    assert "floor_residual" not in payload
 
 
 def test_oracle_verify_single_mode_needs_protocol(capsys, tmp_path):

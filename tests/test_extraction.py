@@ -16,7 +16,6 @@ from gausswork import (
     MomentState,
     OptimalityWarning,
     ValidationError,
-    all_pairs_gaussian_passive,
     apply,
     bs_angle,
     compose,
@@ -24,7 +23,6 @@ from gausswork import (
     is_gaussian_passive,
     mean_energy,
     minimal_gaussian_energy,
-    nmode_gaussian_ergotropy,
     reduce_to_standard_form,
     symplectic_spectrum,
     thermal_product_passivity,
@@ -142,31 +140,33 @@ def test_first_moments_break_passivity():
 
 def test_pairwise_verdict_matches_two_mode_case():
     st = two_mode(np.diag([3.0, 3.0, 1.5, 1.5]), freqs=(1.0, 2.0))
-    assert all_pairs_gaussian_passive(st).passive
+    assert is_gaussian_passive(st).passive
     st3 = MomentState(
         freqs=[1.0, 2.0, 3.0],
         x=np.zeros(6),
         cov=np.diag([3.0, 3.0, 2.0, 2.0, 1.2, 1.2]),
     )
-    assert all_pairs_gaussian_passive(st3).passive
+    assert is_gaussian_passive(st3).passive
     bad = MomentState(
         freqs=[1.0, 2.0, 3.0],
         x=np.zeros(6),
         cov=np.diag([1.2, 1.2, 2.0, 2.0, 3.0, 3.0]),
     )
-    verdict = all_pairs_gaussian_passive(bad)
+    verdict = is_gaussian_passive(bad)
     assert not verdict.passive
     assert any(v.startswith("modes (0,1)") for v in verdict.violations)
 
 
 def test_passivity_mode_count_contracts():
-    one = MomentState(freqs=[1.0], x=[0.0, 0.0], cov=np.eye(2))
-    with pytest.raises(ValidationError):
-        is_gaussian_passive(
-            MomentState(freqs=[1.0, 1.0, 1.0], x=np.zeros(6), cov=np.eye(6))
-        )
-    with pytest.raises(ValidationError):
-        all_pairs_gaussian_passive(one)
+    # one verdict for every mode count; the former n-mode name is the same function
+    for n in (1, 2, 3):
+        st = MomentState(freqs=[1.0] * n, x=np.zeros(2 * n), cov=np.eye(2 * n))
+        verdict = is_gaussian_passive(st)
+        assert verdict.passive and verdict.clause == "i"
+        assert extraction.all_pairs_gaussian_passive(st) == verdict
+    one = MomentState(freqs=[1.0], x=[0.0, 0.0], cov=np.diag([0.5, 2.0]))
+    assert not is_gaussian_passive(one).passive
+    assert extraction.all_pairs_gaussian_passive(one) == is_gaussian_passive(one)
 
 
 def test_rotated_equal_frequency_coupling_is_passive():
@@ -177,7 +177,7 @@ def test_rotated_equal_frequency_coupling_is_passive():
     verdict = is_gaussian_passive(st)
     assert verdict.passive
     assert verdict.clause == "ii"
-    for extract in (gaussian_ergotropy, nmode_gaussian_ergotropy):
+    for extract in (gaussian_ergotropy, extraction.nmode_gaussian_ergotropy):
         report = extract(st)
         assert report.steps == ()
         assert report.extracted_work == 0.0
@@ -190,12 +190,12 @@ def test_coupled_group_below_a_higher_frequency_mode_is_active():
     cov = np.block([[3 * eye, eye, zero], [eye, 3 * eye, zero], [zero, zero, 2.5 * eye]])
     st = MomentState(freqs=[1.0, 1.0, 2.0], x=np.zeros(6), cov=cov)
     assert np.allclose(symplectic_spectrum(cov), [4.0, 2.5, 2.0], atol=1e-12)
-    verdict = all_pairs_gaussian_passive(st)
+    verdict = is_gaussian_passive(st)
     assert not verdict.passive
     assert "spectrum ordering violates frequency ordering" in verdict.violations
     with warnings.catch_warnings():
         warnings.simplefilter("error", OptimalityWarning)
-        report = nmode_gaussian_ergotropy(st)
+        report = gaussian_ergotropy(st)
     assert report.initial_energy == pytest.approx(3.5, abs=1e-12)
     assert abs(report.final_energy - 3.25) <= 1e-8 * 3.25
     assert report.certificate.passive
@@ -256,10 +256,8 @@ def test_verdict_matches_the_spectral_floor_on_grouped_corpus():
             floor = minimal_gaussian_energy(symplectic_spectrum(st.cov), st.freqs)
             at_floor = mean_energy(st) - floor <= 1e-9 * max(1.0, floor)
             truth = not np.any(st.x) and at_floor
-            verdict = all_pairs_gaussian_passive(st)
+            verdict = is_gaussian_passive(st)
             assert verdict.passive == truth, (n_modes, defect, verdict)
-            if n_modes == 2:
-                assert is_gaussian_passive(st).passive == truth
             passive_seen += truth
             active_seen += not truth
     assert passive_seen >= 25 and active_seen >= 60
@@ -405,7 +403,7 @@ def squeezed_three_mode(r):
 def test_three_modes_squeezed_at_r5_reach_the_floor():
     # the greedy squeeze stalled here at |c1 - c2| = 2.1e-9 (ConvergenceError)
     st, nus = squeezed_three_mode(5.0)
-    report = nmode_gaussian_ergotropy(st)
+    report = gaussian_ergotropy(st)
     floor = minimal_gaussian_energy(nus, st.freqs)
     assert abs(report.final_energy - floor) <= 1e-8 * max(1.0, abs(floor))
     assert report.certificate.passive
@@ -417,7 +415,7 @@ def test_three_modes_squeezed_beyond_the_isotropy_bracket_reach_the_floor(r):
     # beyond 2 r*, and squeezing by r* instead stalled (ConvergenceError after
     # 200 rounds at |c1 - c2| = 6.0e-2 and 3.1); the beam splitter converges
     st, nus = squeezed_three_mode(r)
-    report = nmode_gaussian_ergotropy(st)
+    report = gaussian_ergotropy(st)
     floor = minimal_gaussian_energy(nus, st.freqs)
     assert abs(report.final_energy - floor) <= 1e-8 * max(1.0, abs(floor))
     energies = [report.initial_energy] + [s.energy_after for s in report.steps]
@@ -434,7 +432,7 @@ def test_a_sweep_that_emits_no_step_ends_the_sweeps():
     # ended them after 4.  The step now keeps Gamma exactly symmetric, and
     # the certificate ends them (test_symmetric_steps_certify_strongly_squeezed_states)
     st, nus = squeezed_three_mode(9.25)
-    report = nmode_gaussian_ergotropy(st)
+    report = gaussian_ergotropy(st)
     floor = minimal_gaussian_energy(nus, st.freqs)
     assert abs(report.final_energy - floor) <= 1e-8 * max(1.0, abs(floor))
     assert report.sweeps <= 4
@@ -450,7 +448,7 @@ def test_symmetric_steps_certify_strongly_squeezed_states(r):
     # -1.1e-7), where the Cholesky factor exists and nu - 1 is rounding
     st, nus = squeezed_three_mode(r)
     st = MomentState(freqs=st.freqs, x=st.x, cov=0.5 * (st.cov + st.cov.T))
-    report = nmode_gaussian_ergotropy(st)
+    report = gaussian_ergotropy(st)
     assert report.certificate.passive  # at the default, absolute 1e-9
     assert np.array_equal(report.final_state.cov, report.final_state.cov.T)
     floor = minimal_gaussian_energy(nus, st.freqs)
@@ -466,7 +464,7 @@ def test_unsymmetrized_strongly_squeezed_states_validate_and_certify(r):
     # absolute 3.7e-9 to 7.5e-9); an absolute symmetry check rejected these
     st, nus = squeezed_three_mode(r)
     assert not np.array_equal(st.cov, st.cov.T)
-    report = nmode_gaussian_ergotropy(st)
+    report = gaussian_ergotropy(st)
     assert report.certificate.passive
     assert np.array_equal(report.final_state.cov, report.final_state.cov.T)
     floor = minimal_gaussian_energy(nus, st.freqs)
@@ -481,7 +479,7 @@ def test_a_sweep_without_a_step_is_a_fixed_point():
     cov = np.diag([1e5, 1e5, 2.0, 2.0, 1.5, 1.5])
     cov[0, 4] = cov[4, 0] = cov[1, 5] = cov[5, 1] = 5e-9
     st = MomentState(freqs=[1.0, 2.0, 3.0], x=np.zeros(6), cov=cov)
-    report = nmode_gaussian_ergotropy(st)
+    report = gaussian_ergotropy(st)
     assert report.steps == () and report.sweeps == 1
     assert not report.certificate.passive
     assert report.certificate.violations == ("covariance not in Williamson form",)
@@ -495,7 +493,7 @@ def test_a_large_pair_gets_one_pass_per_sweep():
     # pair and sweep reaches the floor
     data = json.loads((DATA / "pair_stall_4242_item236.json").read_text())
     st = state_from_dict(data)
-    report = nmode_gaussian_ergotropy(st)
+    report = gaussian_ergotropy(st)
     assert report.certificate.passive
     floor = minimal_gaussian_energy(data["metadata"]["symplectic_spectrum"], st.freqs)
     assert abs(report.final_energy - floor) <= 1e-8 * max(1.0, abs(floor))
@@ -507,7 +505,7 @@ def test_a_large_pair_gets_one_pass_per_sweep():
 def _sweep_pairs(monkeypatch, st):
     """Run the sweeps on st; return (state, i, j, extracted) for every pair test."""
     sweeps, extracted = [], []
-    verdict, pair_extract = extraction.all_pairs_gaussian_passive, extraction._pair_extract
+    verdict, pair_extract = extraction.is_gaussian_passive, extraction._pair_extract
 
     def spy_verdict(state, tol):
         sweeps.append(state)
@@ -518,9 +516,9 @@ def _sweep_pairs(monkeypatch, st):
         extracted.append((state, i, j, out))
         return out
 
-    monkeypatch.setattr(extraction, "all_pairs_gaussian_passive", spy_verdict)
+    monkeypatch.setattr(extraction, "is_gaussian_passive", spy_verdict)
     monkeypatch.setattr(extraction, "_pair_extract", spy_extract)
-    report = nmode_gaussian_ergotropy(st)
+    report = gaussian_ergotropy(st)
     monkeypatch.undo()
     tests, calls = [], iter(extracted)
     upcoming = next(calls, None)
@@ -560,7 +558,7 @@ def test_the_pair_test_shortcut_agrees_with_the_verdict(monkeypatch):
 def test_sweeps_run_until_the_certificate_holds(name):
     data = json.loads((DATA / f"sweep_stop_{name}.json").read_text())
     st = state_from_dict(data)
-    report = nmode_gaussian_ergotropy(st)
+    report = gaussian_ergotropy(st)
     assert report.certificate.passive  # at the default, absolute 1e-9
     floor = minimal_gaussian_energy(data["metadata"]["symplectic_spectrum"], st.freqs)
     assert abs(report.final_energy - floor) <= 1e-8 * max(1.0, abs(floor))
@@ -594,7 +592,7 @@ def test_the_passivity_criterion_runs_once_per_sweep(monkeypatch):
     for _ in range(6):
         verdicts.clear()
         st, _ = random_active_state(rng, n_modes=3)
-        report = nmode_gaussian_ergotropy(st)
+        report = gaussian_ergotropy(st)
         whole = [v for size, v in verdicts if size == 3]
         assert report.certificate.passive
         assert len(whole) == report.sweeps
@@ -785,11 +783,7 @@ def test_passive_state_yields_empty_protocol():
     assert report.certificate.passive
 
 
-def test_extraction_requires_two_modes_and_valid_state():
-    with pytest.raises(ValidationError):
-        gaussian_ergotropy(
-            MomentState(freqs=[1.0], x=[0.0, 0.0], cov=np.eye(2))
-        )
+def test_extraction_requires_a_valid_state():
     with pytest.raises(ValidationError):
         gaussian_ergotropy(two_mode(0.5 * np.eye(4)))
 
@@ -839,7 +833,7 @@ def test_step_energies_match_a_full_replay():
     for n_modes, count in ((2, 20), (4, 10)):
         for _ in range(count):
             st, _ = random_active_state(rng, n_modes)
-            report = (gaussian_ergotropy if n_modes == 2 else nmode_gaussian_ergotropy)(st)
+            report = gaussian_ergotropy(st)
             assert report.steps
             replayed = st
             for step in report.steps:
@@ -854,7 +848,7 @@ def test_extraction_leaves_an_undisplaced_input_untouched():
         st, _ = random_active_state(rng, n_modes=n)
         st = MomentState(freqs=st.freqs, x=np.zeros(2 * n), cov=st.cov)
         x0, cov0 = st.x.tobytes(), st.cov.tobytes()
-        report = nmode_gaussian_ergotropy(st)
+        report = gaussian_ergotropy(st)
         assert report.steps and report.certificate.passive
         assert st.x.tobytes() == x0 and st.cov.tobytes() == cov0
         assert not report.final_state.x.any()
@@ -866,7 +860,7 @@ def test_three_mode_sweeps_reach_floor():
         x=np.zeros(6),
         cov=np.diag(np.repeat([1.2, 2.0, 3.0], 2)),
     )
-    report = nmode_gaussian_ergotropy(st)
+    report = gaussian_ergotropy(st)
     assert np.isclose(report.initial_energy, 4.1, atol=1e-12)
     assert np.isclose(report.final_energy, 2.3, atol=1e-8)
     assert np.isclose(report.extracted_work, 1.8, atol=1e-8)
@@ -878,7 +872,7 @@ def test_nmode_property_loop():
     rng = np.random.default_rng(777)
     for _ in range(8):
         st, nus = random_active_state(rng, n_modes=3)
-        report = nmode_gaussian_ergotropy(st)
+        report = gaussian_ergotropy(st)
         floor = minimal_gaussian_energy(nus, st.freqs)
         assert abs(report.final_energy - floor) <= 1e-7 * max(1.0, abs(floor))
         assert report.certificate.passive
@@ -887,18 +881,40 @@ def test_nmode_property_loop():
             assert after <= before + 1e-9 * max(1.0, abs(before))
 
 
-def test_nmode_requires_two_modes():
-    with pytest.raises(ValidationError):
-        nmode_gaussian_ergotropy(
-            MomentState(freqs=[1.0], x=[0.0, 0.0], cov=np.eye(2))
-        )
+def test_nmode_accepts_one_mode():
+    # the former n-mode name is the one extraction, and one mode answers
+    report = extraction.nmode_gaussian_ergotropy(
+        MomentState(freqs=[1.0], x=[0.0, 0.0], cov=np.diag([0.5, 2.0]))
+    )
+    assert report.extracted_work == pytest.approx(0.125, abs=1e-15)
+    assert report.certificate.passive and report.sweeps == 2
+
+
+def test_one_mode_extraction_takes_the_closed_form_work():
+    # one mode: displace, turn, squeeze, and the work is E - omega (sqrt(det Gamma) - 1) / 2
+    rng = np.random.default_rng(2210)
+    for _ in range(200):
+        w, nu = rng.uniform(0.5, 2.5), rng.uniform(1.0, 6.0)
+        st = MomentState(freqs=[w], x=np.zeros(2), cov=nu * np.eye(2))
+        st = apply(rotation(rng.uniform(-np.pi, np.pi), 0, 1), apply(squeeze(rng.uniform(-3.0, 3.0), 0, 1), st))
+        st = apply(displacement(rng.normal(size=2) * rng.uniform(0.0, 2.0)), st)
+        (p, q), (_, s) = st.cov
+        energy = w * ((p + s - 2.0) / 4.0 + float(st.x @ st.x) / 2.0)
+        closed = energy - w * (math.sqrt(p * s - q * q) - 1.0) / 2.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = gaussian_ergotropy(st)
+        assert abs(report.extracted_work - closed) <= 1e-12 * closed
+        assert len(report.steps) <= 3
+        assert [step.stage for step in report.steps[1:]] == ["P2-local"] * (len(report.steps) - 1)
+        assert report.certificate.passive
 
 
 def test_nmode_two_mode_agrees_with_pipeline():
     rng = np.random.default_rng(13)
     st, _ = random_active_state(rng)
     direct = gaussian_ergotropy(st)
-    swept = nmode_gaussian_ergotropy(st)
+    swept = extraction.nmode_gaussian_ergotropy(st)
     assert np.isclose(direct.final_energy, swept.final_energy, atol=1e-10)
 
 

@@ -21,6 +21,7 @@ from gausswork import (
     energy_of,
     entropy_of,
     ergotropy_of,
+    fixed_entropy_state,
     fock_state,
     gaussian_unitary_matrix,
     ladder,
@@ -115,6 +116,39 @@ def test_two_mode_thermal_moments():
     assert np.allclose(x, 0.0, atol=1e-12)
     assert np.allclose(cov, np.diag([3.0, 3.0, 1.5, 1.5]), atol=1e-9)
     assert np.isclose(energy_of(rho), 1.0 * 1.0 + 2.0 * 0.25, atol=1e-9)
+
+
+@pytest.mark.parametrize("n_modes", [1, 2])
+def test_moments_match_traces_of_dense_ladder_products(n_modes):
+    # <q_i> = Tr(rho q_i) and <q_i q_j + q_j q_i>/2 from explicit quadrature
+    # matrices; random complex components give nonzero <p> and x-p correlations
+    dim = 8
+    rng = np.random.default_rng(91)
+    low = np.zeros((dim,) * n_modes, dtype=bool)
+    low[(slice(0, dim - 3),) * n_modes] = True
+    vectors = np.zeros((3, dim**n_modes), dtype=complex)
+    count = int(low.sum())
+    vectors[:, low.reshape(-1)] = rng.normal(size=(3, count)) + 1j * rng.normal(size=(3, count))
+    vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
+    rho = mixture([0.5, 0.3, 0.2], vectors, [1.0, 2.0][:n_modes], dim)
+    a, eye = ladder(dim), np.eye(dim)
+    quads = []
+    for m in range(n_modes):
+        a_m = a if n_modes == 1 else (np.kron(a, eye) if m == 0 else np.kron(eye, a))
+        quads += [(a_m + a_m.T) / math.sqrt(2.0), -1j * (a_m - a_m.T) / math.sqrt(2.0)]
+    dense = rho.dense()
+    x_ref = np.array([np.trace(dense @ q).real for q in quads])
+    sym = np.array([[np.trace(dense @ (qi @ qj + qj @ qi)).real / 2.0 for qj in quads] for qi in quads])
+    x, cov = moments_of(rho)
+    assert np.max(np.abs(x_ref)) > 0.1 and np.max(np.abs(x - x_ref)) <= 1e-12
+    assert np.max(np.abs(cov - (2.0 * sym - 2.0 * np.outer(x_ref, x_ref)))) <= 1e-12
+
+
+def test_entropy_keeps_every_positive_eigenvalue():
+    # the fixed-entropy witness at nu = 5, S = 2 ln 2: its thermal eigenvalues
+    # below 1e-15 carry p ln p of about 6e-14, which a threshold would drop
+    c = fixed_entropy_state(5.0, 2.0 * math.log(2.0), freq=1.0, cutoff=60)
+    assert abs(entropy_of(c.state) - 2.0 * math.log(2.0)) <= 1e-15
 
 
 def test_energy_and_entropy_values():

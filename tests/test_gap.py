@@ -20,8 +20,6 @@ from gausswork import (
     moments_of,
     occupation_entropy,
     pure_match_for_state,
-    pure_match_state,
-    pure_match_two_mode,
     pure_match_vector,
     state_entropy,
     thermal_beta_for_entropy,
@@ -63,7 +61,7 @@ def test_match_vector_needs_room_for_the_offset():
 
 def test_pure_match_moments_and_entropy():
     for nu in (1.0, 2.2, 4.0, 7.0):
-        rho = pure_match_state(nu, 1.0, 30)
+        rho = pure_match_for_state(MomentState(freqs=[1.0], x=np.zeros(2), cov=nu * np.eye(2)), 30)
         x, cov = moments_of(rho)
         assert np.max(np.abs(x)) < 1e-12
         assert np.max(np.abs(cov - nu * np.eye(2))) < 1e-9
@@ -71,7 +69,8 @@ def test_pure_match_moments_and_entropy():
 
 
 def test_pure_match_two_mode_moments():
-    rho = pure_match_two_mode(3.0, 1.5, [1.0, 2.0], 20)
+    st = MomentState(freqs=[1.0, 2.0], x=np.zeros(4), cov=np.diag([3.0, 3.0, 1.5, 1.5]))
+    rho = pure_match_for_state(st, 20)
     x, cov = moments_of(rho)
     assert np.max(np.abs(x)) < 1e-12
     assert np.max(np.abs(cov - np.diag([3.0, 3.0, 1.5, 1.5]))) < 1e-9
