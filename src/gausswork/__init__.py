@@ -7,9 +7,9 @@ protocol (``gaussian_ergotropy``), the gap to unrestricted extraction
 (``pure_match_for_state``, one or two modes).
 
 ``__getattr__`` below imports the Fock oracle (``gausswork.fock``) on first use
-of one of its names, so the moment-level layers start without it.  SciPy is
-needed only by the oracle's direct search (``brute_force_min_energy``), which
-imports it on its first call.
+of one of its names, so the moment-level layers start without it.  The
+package needs NumPy alone; the oracle's direct search
+(``brute_force_min_energy``) runs its BFGS in ``gausswork.bfgs``.
 """
 
 from .core import (

@@ -140,7 +140,7 @@ def cmd_witness(args) -> int:
 
 
 def cmd_oracle_verify(args) -> int:
-    from . import fock  # SciPy loads only for the direct search, on a two-mode state
+    from . import fock  # the only verb that loads the oracle
 
     state = load_state(args.path)
     payload: dict = {"cutoff": args.cutoff}

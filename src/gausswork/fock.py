@@ -21,6 +21,9 @@ import warnings
 
 import numpy as np
 
+# brute_force_min_energy looks minimize up here on each local solve, so a
+# wrapper put in its place (a tracer counting each result's nfev) sees every solve.
+from .bfgs import minimize
 from .core import MomentState
 from .exceptions import (
     BudgetWarning,
@@ -555,20 +558,6 @@ def apply_gaussian_unitary(
     )
 
 
-def minimize(*args, **kwargs):
-    """``scipy.optimize.minimize``, imported on each call; Python caches the module.
-
-    SciPy is needed only by the direct search, so importing this module, the
-    Fock replay and every conjugation run without it.  The name is bound at
-    module level because ``brute_force_min_energy`` looks it up here on each
-    local solve: a wrapper put in its place (a tracer that counts each
-    result's ``nfev``) sees every solve.
-    """
-    from scipy.optimize import minimize as scipy_minimize
-
-    return scipy_minimize(*args, **kwargs)
-
-
 class _SolveStopped(Exception):
     """The evaluation count reached the cap of the running local solve."""
 
@@ -772,7 +761,7 @@ def brute_force_min_energy(
         nonlocal cap, converged, capped
         cap = min(evals + maxfev, limit)
         try:
-            minimize(objective, x0, jac=True, method="BFGS", options={"gtol": gtol})
+            minimize(objective, x0, gtol)
         except _SolveStopped:
             if evals >= limit:
                 return False

@@ -37,7 +37,7 @@ from .exceptions import TruncationError, ValidationError
 from .extraction import bs_angle, is_gaussian_passive, minimal_gaussian_energy
 from .ops import apply, beam_splitter, inverse, rotation
 
-if TYPE_CHECKING:  # the oracle loads on use; only its direct search needs SciPy
+if TYPE_CHECKING:  # the oracle loads on use
     from .fock import TruncatedDensityMatrix
 
 __all__ = [
@@ -225,7 +225,7 @@ def fixed_entropy_state(
     u[0, 0] = u[level, level] = math.cos(phi)
     u[level, 0] = math.sin(phi)
     u[0, level] = -math.sin(phi)
-    from .fock import mixture  # loads the oracle, not SciPy: only the search needs it
+    from .fock import mixture  # loads the oracle on use
 
     state = mixture(pops, u.T, [freq], cutoff)  # the columns of u, weighted by pops
     return FixedEntropyConstruction(
@@ -324,11 +324,11 @@ def ergotropy_gap(
             f"entropy {s0} is unattainable at energy {energy}: "
             f"the least compatible energy is {e_min}"
         )
-    total = max(energy - e_min, 0.0)
+    total = float(max(energy - e_min, 0.0))
     if is_gaussian_passive(state).passive:
         gaussian = 0.0
     else:
-        gaussian = max(energy - minimal_gaussian_energy(spectrum, state.freqs), 0.0)
+        gaussian = float(max(energy - minimal_gaussian_energy(spectrum, state.freqs), 0.0))
     free_gap = None
     if t_ref is not None:
         if t_ref <= 0:
@@ -342,7 +342,8 @@ def ergotropy_gap(
         entropy=s0,
         gaussian_extractable=gaussian,
         total_extractable=total,
-        gap=total - gaussian,
+        # the two figures come from different formulas and can cross by rounding
+        gap=max(total - gaussian, 0.0),
         free_energy_gap=free_gap,
     )
 

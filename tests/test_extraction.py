@@ -400,6 +400,17 @@ def squeezed_three_mode(r):
     return st, nus
 
 
+@pytest.mark.parametrize("r", [11.0, 12.0])
+def test_the_optimality_warning_names_the_rounding_scale(r):
+    # the gaps (3.8e-7 and -1.4e-6) lie within eps max|Gamma| (7.0e-7 and 5.2e-6)
+    st, _ = squeezed_three_mode(r)
+    with pytest.warns(OptimalityWarning) as caught:
+        gaussian_ergotropy(st)
+    scale = np.finfo(float).eps * np.max(np.abs(st.cov))
+    (message,) = [str(w.message) for w in caught]
+    assert f"within the input's rounding scale eps*max|Gamma| = {scale:.3e}" in message
+
+
 def test_three_modes_squeezed_at_r5_reach_the_floor():
     # the greedy squeeze stalled here at |c1 - c2| = 2.1e-9 (ConvergenceError)
     st, nus = squeezed_three_mode(5.0)

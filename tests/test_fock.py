@@ -8,6 +8,7 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.optimize
 
 from gausswork import (
     BudgetWarning,
@@ -33,7 +34,7 @@ from gausswork import (
     thermal_fock_state,
     validate_state,
 )
-from gausswork import fock
+from gausswork import bfgs, fock
 from gausswork.fock import (
     TruncatedDensityMatrix,
     _bs_sectors,
@@ -790,6 +791,78 @@ def test_brute_force_survives_overflowing_line_searches():
             floor = _floor(st)
             best = brute_force_min_energy(st)
             assert abs(best - floor) <= 1e-6 * max(1.0, abs(floor))
+
+
+def _scipy_bfgs(fun, x0, gtol):
+    return scipy.optimize.minimize(fun, x0, jac=True, method="BFGS", options={"gtol": gtol})
+
+
+def _recording(solve, log):
+    """``solve`` with each local solve's (nfev, objective calls) appended to ``log``."""
+
+    def recorded(fun, x0, gtol):
+        calls = 0
+
+        def counted(x):
+            nonlocal calls
+            calls += 1
+            return fun(x)
+
+        try:
+            result = solve(counted, x0, gtol)
+        except fock._SolveStopped:
+            log.append((None, calls))
+            raise
+        log.append((result.nfev, calls))
+        return result
+
+    return recorded
+
+
+@pytest.mark.parametrize(
+    "settings", [{}, {"maxfev": 50}, {"budget": 700}, {"starts": 1, "maxfev": 50}]
+)
+def test_the_search_takes_scipys_bfgs_steps(monkeypatch, settings):
+    """The in-repo BFGS gives SciPy's values, per-solve nfev and objective calls, and warnings."""
+    port = fock.minimize
+    for seed in range(20, 26):
+        rng = np.random.default_rng(seed)
+        for _ in range(10):
+            st = _random_active_state(rng)
+            runs = []
+            for solve in (port, _scipy_bfgs):
+                log = []
+                monkeypatch.setattr(fock, "minimize", _recording(solve, log))
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    best = brute_force_min_energy(st, **settings)
+                runs.append((best, log, [str(w.message) for w in caught]))
+            assert runs[0] == runs[1]
+
+
+def test_bfgs_matches_scipy_through_the_fallback_line_search(monkeypatch):
+    """Where the Moré–Thuente search fails, the Wolfe fallback finds SciPy's step."""
+    st = _random_active_state(np.random.default_rng(20))
+    energy = _family_energy(st.cov, st.freqs)
+    fallback_steps = []
+    wolfe2 = bfgs._wolfe2
+
+    def spy(*args):
+        out = wolfe2(*args)
+        fallback_steps.append(out[0] is not None)
+        return out
+
+    monkeypatch.setattr(bfgs, "_wolfe2", spy)
+    rng = np.random.default_rng(21)
+    for _ in range(8):
+        x0 = _random_point(rng)
+        our_log, their_log = [], []
+        ours = _recording(bfgs.minimize, our_log)(energy, x0, 1e-8)
+        theirs = _recording(_scipy_bfgs, their_log)(energy, x0, 1e-8)
+        assert ours.fun == theirs.fun
+        assert np.array_equal(ours.x, theirs.x)
+        assert our_log == their_log
+    assert any(fallback_steps)
 
 
 def test_brute_force_logs_one_record_per_call(caplog):

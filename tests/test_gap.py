@@ -29,7 +29,7 @@ from gausswork import (
 )
 from gausswork.fock import _population_diagonal
 from gausswork.gap import _min_energy_at_entropy, _suggest_cutoff
-from gausswork.ops import apply, beam_splitter, rotation
+from gausswork.ops import apply, beam_splitter, displacement, rotation, squeeze
 
 LN2 = math.log(2.0)
 
@@ -389,6 +389,25 @@ def test_gap_nonnegative_on_consistent_inputs():
         report = ergotropy_gap(st)
         assert report.gap >= -1e-9
         assert report.total_extractable >= report.gaussian_extractable - 1e-9
+
+
+def test_gap_is_never_negative_when_both_figures_coincide():
+    # Gaussian and entropy-limited figures agree here up to rounding (-2.8e-17 before)
+    states = [
+        MomentState(freqs=[1.5], x=[0.4, -0.3], cov=[[1.3, 0.2], [0.2, 0.9]])
+    ]
+    rng = np.random.default_rng(2402)
+    for _ in range(100):
+        st = MomentState(
+            freqs=[rng.uniform(0.5, 2.5)], x=np.zeros(2), cov=rng.uniform(1.0, 6.0) * np.eye(2)
+        )
+        st = apply(rotation(rng.uniform(-np.pi, np.pi), 0, 1), apply(squeeze(rng.uniform(-3.0, 3.0), 0, 1), st))
+        states.append(apply(displacement(rng.normal(size=2) * rng.uniform(0.0, 2.0)), st))
+    for st in states:
+        report = ergotropy_gap(st)
+        assert type(report.total_extractable) is float
+        assert type(report.gaussian_extractable) is float
+        assert report.gap >= 0.0
 
 
 def test_free_energy_gap():
