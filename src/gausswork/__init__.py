@@ -4,7 +4,8 @@ One function answers each question for every mode count: the passivity
 verdict (``is_gaussian_passive``), the optimal Gaussian extraction with its
 protocol (``gaussian_ergotropy``), the gap to unrestricted extraction
 (``ergotropy_gap``), and the zero-entropy witness with matching moments
-(``pure_match_for_state``, one or two modes).
+(``pure_match_for_state``, one or two modes).  ``verify`` cross-checks
+these answers in truncated Fock space.
 
 ``__getattr__`` below imports the Fock oracle (``gausswork.fock``) on first use
 of one of its names, so the moment-level layers start without it.  The
@@ -133,6 +134,7 @@ __all__ = [
     "steps_from_dict",
     "write_trace_csv",
     "CUTOFF_CAP",
+    "OracleReport",
     "TAIL_ERROR",
     "TAIL_WARN",
     "TruncatedDensityMatrix",
@@ -149,6 +151,7 @@ __all__ = [
     "moments_of",
     "pure_state",
     "thermal_fock_state",
+    "verify",
     "FixedEntropyConstruction",
     "GapReport",
     "PureMatch",

@@ -20,7 +20,6 @@ from .core import (
     mean_energy,
     purity,
     require_valid,
-    symplectic_spectrum,
     validate_state,
 )
 from .exceptions import (
@@ -39,7 +38,6 @@ from .fileio import (
     write_trace_csv,
 )
 from .gap import ergotropy_gap, thermal_swap_witness
-from .ops import apply, compose, inverse
 
 
 def _emit_json(payload: dict) -> None:
@@ -143,67 +141,12 @@ def cmd_oracle_verify(args) -> int:
     from . import fock  # the only verb that loads the oracle
 
     state = load_state(args.path)
-    payload: dict = {"cutoff": args.cutoff}
-
+    steps = final_state = None
     if args.protocol is not None:
         steps, data = load_protocol_steps(args.protocol)
         final_state = state_from_dict(data["final_state"])
-        if final_state.n_modes != state.n_modes:
-            raise ValidationError("protocol and state mode counts differ")
-        if state.n_modes not in (1, 2):
-            raise ValidationError("oracle replay supports one or two modes")
-        # moment-level replay: composing the steps must reproduce final_state
-        if steps:
-            total = compose([s.op for s in steps])
-            replayed = apply(total, state)
-            replay_residual = max(
-                float(np.max(np.abs(replayed.cov - final_state.cov))),
-                float(np.max(np.abs(replayed.x - final_state.x))),
-            )
-        else:
-            replay_residual = max(
-                float(np.max(np.abs(state.cov - final_state.cov))),
-                float(np.max(np.abs(state.x - final_state.x))),
-            )
-        payload["replay_residual"] = replay_residual
-        # Fock-level replay: run the inverse protocol from a thermal reference
-        # with the final spectrum, then compare moments against the input file.
-        nus = symplectic_spectrum(final_state.cov)
-        nus_by_mode = np.array(
-            [
-                0.5 * (final_state.cov[2 * m, 2 * m]
-                       + final_state.cov[2 * m + 1, 2 * m + 1])
-                for m in range(final_state.n_modes)
-            ]
-        )
-        occupations = (nus_by_mode - 1.0) / 2.0
-        rho = fock.thermal_fock_state(occupations, final_state.freqs, args.cutoff)
-        for step in reversed(steps):
-            rho = fock.apply_gaussian_unitary(inverse(step.op), rho)
-        x_oracle, cov_oracle = fock.moments_of(rho)
-        payload["moment_residual"] = max(
-            float(np.max(np.abs(cov_oracle - state.cov))),
-            float(np.max(np.abs(x_oracle - state.x))),
-        )
-        payload["energy_residual"] = abs(
-            fock.energy_of(rho) - mean_energy(state)
-        )
-        payload["spectrum"] = [float(v) for v in nus]
-
-    if state.n_modes == 2:
-        brute = fock.brute_force_min_energy(
-            state, seed=args.seed, starts=args.starts
-        )
-        floor = minimal_gaussian_energy(symplectic_spectrum(state.cov), state.freqs)
-        payload["brute_force_min_energy"] = brute
-        payload["spectral_floor"] = floor
-        payload["floor_residual"] = brute - floor
-    elif args.protocol is None:
-        raise ValidationError(
-            "oracle-verify without --protocol needs a two-mode state"
-        )
-
-    _emit_json(payload)
+    report = fock.verify(state, steps, final_state, args.cutoff, args.seed, args.starts)
+    _emit_json({k: v for k, v in dataclasses.asdict(report).items() if v is not None})
     return 0
 
 

@@ -135,10 +135,13 @@ def mean_energy(state: MomentState) -> float:
 
     Per mode the photon number is (Tr Gamma_i - 2)/4 + ||x_i||^2 / 2 in this
     covariance convention; the total is the in-order sum of mode_energy.
+    A total that overflows raises ValidationError.
     """
     total = 0.0
     for i in range(state.n_modes):
         total += mode_energy(state, i)
+    if not math.isfinite(total):
+        raise ValidationError(f"mean energy {total} is not finite")
     return float(total)
 
 

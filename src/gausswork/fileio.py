@@ -111,13 +111,16 @@ def state_from_dict(data: dict) -> MomentState:
         raise FileFormatError(f"invalid state data: {exc}") from exc
 
 
-def load_state(path) -> MomentState:
+def _read_json(path):
     try:
         with open(path) as fh:
-            data = json.load(fh)
+            return json.load(fh)
     except json.JSONDecodeError as exc:
         raise FileFormatError(f"{path}: not valid JSON ({exc})") from exc
-    return state_from_dict(data)
+
+
+def load_state(path) -> MomentState:
+    return state_from_dict(_read_json(path))
 
 
 def save_state(state: MomentState, path, name: str | None = None,
@@ -189,11 +192,7 @@ def steps_from_dict(data: dict) -> list[ProtocolStep]:
 
 def load_protocol_steps(path) -> tuple[list[ProtocolStep], dict]:
     """Load a protocol file; returns (steps, full JSON dict)."""
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise FileFormatError(f"{path}: not valid JSON ({exc})") from exc
+    data = _read_json(path)
     return steps_from_dict(data), data
 
 

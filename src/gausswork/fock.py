@@ -1,13 +1,13 @@
 r"""Truncated Fock-space oracle for one- and two-mode computations.
 
-Everything here is independent of the moment-level code paths: states are
+The oracle is independent of the moment-level code paths: states are
 density matrices on a photon-number cutoff, held as weighted pure components,
 operations are exponentials of their quadratic generators truncated on an
 enlarged register, and energies come from number operators.  Each
 non-diagonal generator splits into real antisymmetric tridiagonal chains
 (parity ladders, conserved sectors), whose exponentials come in closed form
 from eigenbases cached per cutoff and are only ever formed on the cutoff's
-own levels.  Used to cross-check the closed-form moment machinery.
+own levels.  ``verify`` cross-checks the closed-form moment machinery with it.
 """
 
 from __future__ import annotations
@@ -24,14 +24,17 @@ import numpy as np
 # brute_force_min_energy looks minimize up here on each local solve, so a
 # wrapper put in its place (a tracer counting each result's nfev) sees every solve.
 from .bfgs import minimize
-from .core import MomentState
+from .core import MomentState, mean_energy, require_valid
 from .exceptions import (
     BudgetWarning,
     TruncationError,
     TruncationWarning,
     ValidationError,
 )
-from .ops import GaussianOp, compose, inverse, rotation, squeeze, two_mode_squeeze
+from .extraction import minimal_gaussian_energy
+from .ops import (
+    GaussianOp, ProtocolStep, apply, compose, inverse, rotation, squeeze, two_mode_squeeze,
+)
 
 TAIL_WARN = 1e-8
 TAIL_ERROR = 1e-4
@@ -807,3 +810,56 @@ def brute_force_min_energy(
             extra=stats,
         )
     return best
+
+
+@dataclasses.dataclass(frozen=True)
+class OracleReport:
+    """What ``verify`` measured, in its order; a check that did not run leaves None."""
+
+    cutoff: int
+    replay_residual: float | None = None
+    moment_residual: float | None = None
+    energy_residual: float | None = None
+    spectrum: list[float] | None = None
+    brute_force_min_energy: float | None = None
+    spectral_floor: float | None = None
+    floor_residual: float | None = None
+
+
+def _moment_gap(x: np.ndarray, cov: np.ndarray, state: MomentState) -> float:
+    return max(float(np.max(np.abs(cov - state.cov))), float(np.max(np.abs(x - state.x))))
+
+
+def verify(state: MomentState, steps: list[ProtocolStep] | None = None,
+           final_state: MomentState | None = None, cutoff: int = 40,
+           seed: int = 1234, starts: int = 16) -> OracleReport:
+    """Confirm a state's moment-level answers in truncated Fock space.
+
+    ``steps`` and the ``final_state`` they reach, a protocol's two parts,
+    come together.  With them the composed steps must carry ``state`` to
+    ``final_state`` (replay_residual), and the inverse steps, run as Fock
+    unitaries from the thermal state with the final modes' occupations, must
+    give back its moments and energy (moment_residual, energy_residual).
+    Without a protocol, or on two modes, the direct search must meet the
+    spectral floor (floor_residual).  Both states must pass ``require_valid``.
+    """
+    spectrum = require_valid(state)
+    fields = {}
+    if steps is not None:
+        if final_state.n_modes != state.n_modes:
+            raise ValidationError("protocol and state mode counts differ")
+        fields["spectrum"] = [float(v) for v in require_valid(final_state)]
+        replayed = apply(compose([s.op for s in steps]), state) if steps else state
+        fields["replay_residual"] = _moment_gap(replayed.x, replayed.cov, final_state)
+        diag = np.diag(final_state.cov)
+        occupations = (0.5 * (diag[0::2] + diag[1::2]) - 1.0) / 2.0
+        rho = thermal_fock_state(occupations, final_state.freqs, cutoff)
+        for step in reversed(steps):
+            rho = apply_gaussian_unitary(inverse(step.op), rho)
+        fields["moment_residual"] = _moment_gap(*moments_of(rho), state)
+        fields["energy_residual"] = float(abs(energy_of(rho) - mean_energy(state)))
+    if steps is None or state.n_modes == 2:
+        brute = brute_force_min_energy(state, seed=seed, starts=starts)
+        floor = minimal_gaussian_energy(spectrum, state.freqs)
+        fields.update(brute_force_min_energy=brute, spectral_floor=floor, floor_residual=brute - floor)
+    return OracleReport(cutoff=cutoff, **fields)

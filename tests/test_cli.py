@@ -135,9 +135,19 @@ def test_check_answers_a_single_mode(capsys, tmp_path):
 
 def test_check_rejects_invalid_state(capsys, tmp_path):
     path = write_state(tmp_path / "bad.json", [1.0, 1.0], 0.5 * np.eye(4))
-    code, _, err = run_json(capsys, ["check", path])
-    assert code == 1
-    assert "uncertainty" in err
+    protocol = tmp_path / "protocol.json"
+    protocol.write_text(json.dumps({"steps": [], "final_state": json.loads(pathlib.Path(path).read_text())}))
+    _, report, _ = run_json(capsys, ["validate", path])
+    for argv in (
+        ["check", path],
+        ["oracle-verify", path],
+        ["oracle-verify", path, "--protocol", str(protocol)],
+    ):
+        code, payload, err = run_json(capsys, argv)
+        assert code == 1, argv
+        assert payload is None, argv
+        assert "uncertainty" in err
+        assert err == "error: " + "; ".join(report["violations"]) + "\n"
 
 
 def test_spectrum_output(capsys, misordered_file):
@@ -434,6 +444,39 @@ def test_oracle_verify_replays_a_single_mode_protocol(capsys, tmp_path):
     assert payload["energy_residual"] <= 1e-6
     assert np.allclose(payload["spectrum"], [math.sqrt(1.3 * 0.9 - 0.04)], atol=1e-12)
     assert "floor_residual" not in payload
+
+
+def test_oracle_verify_prints_the_library_report(capsys, tmp_path):
+    path = write_state(
+        tmp_path / "mild.json", [1.0, 1.5], np.diag([math.exp(-0.5), math.exp(0.5), 1.2, 1.2])
+    )
+    out = tmp_path / "protocol.json"
+    assert main(["extract", path, "--out", str(out)]) == 0
+    capsys.readouterr()
+    steps, data = gausswork.load_protocol_steps(out)
+    state, final_state = load_state(path), state_from_dict(data["final_state"])
+    for argv, report in (
+        (["--starts", "4"], gausswork.verify(state, starts=4)),
+        (["--protocol", str(out)], gausswork.verify(state, steps, final_state)),
+    ):
+        code, payload, _ = run_json(capsys, ["oracle-verify", path, *argv])
+        assert code == 0
+        fields = {k: v for k, v in vars(report).items() if v is not None}
+        assert payload == fields
+        assert list(payload) == list(fields)
+
+
+def test_an_overflowing_energy_is_refused(capsys, tmp_path):
+    state = MomentState(freqs=[1.0, 2.0], x=[1e160, 0.0, 0.0, 0.0], cov=np.eye(4))
+    for fn in (gausswork.mean_energy, gausswork.gaussian_ergotropy, gausswork.ergotropy_gap):
+        with pytest.raises(gausswork.ValidationError, match="not finite"):
+            fn(state)
+    path = write_state(tmp_path / "huge.json", state.freqs, state.cov, state.x)
+    for verb in ("gap", "spectrum", "extract"):
+        code, payload, err = run_json(capsys, [verb, path])
+        assert code == 1, verb
+        assert payload is None, verb
+        assert "not finite" in err
 
 
 def test_oracle_verify_single_mode_needs_protocol(capsys, tmp_path):

@@ -32,7 +32,9 @@ from gausswork import (
     pure_state,
     symplectic_spectrum,
     thermal_fock_state,
+    thermal_state,
     validate_state,
+    verify,
 )
 from gausswork import bfgs, fock
 from gausswork.fock import (
@@ -903,3 +905,31 @@ def test_moments_feed_the_validator():
     report = validate_state(st)
     assert report.ok
     assert np.isclose(mean_energy(st), energy_of(rho), atol=1e-8)
+
+
+# ---------------------------------------------------------------------------
+# verify: the oracle's verdict on a state and its protocol
+
+
+def test_verify_an_empty_protocol_on_a_passive_state():
+    state = thermal_state([1.0, 2.0], [0.5, 0.5])
+    report = verify(state, [], state, cutoff=30, starts=2)
+    assert report.replay_residual == 0.0
+    assert report.moment_residual < 1e-9 and report.energy_residual < 1e-9
+    assert report.spectrum == [float(v) for v in symplectic_spectrum(state.cov)]
+    assert abs(report.floor_residual) < 1e-9
+    assert report.spectral_floor == minimal_gaussian_energy(report.spectrum, state.freqs)
+
+
+def test_verify_refuses_what_it_cannot_check():
+    one = thermal_state([1.0], [1.0])
+    two = thermal_state([1.0, 2.0], [1.0, 1.0])
+    three = thermal_state([1.0, 2.0, 3.0], [1.0, 1.0, 1.0])
+    with pytest.raises(ValidationError, match="mode counts differ"):
+        verify(two, [], one)
+    with pytest.raises(ValidationError, match="one or two modes"):
+        verify(three, [], three, cutoff=10)
+    # a protocol file's final state is outside input, validated like the state itself
+    bad = MomentState(freqs=[1.0, 2.0], x=np.zeros(4), cov=np.diag([0.5, 0.5, 1.0, 1.0]))
+    with pytest.raises(ValidationError, match="uncertainty"):
+        verify(two, [], bad)
