@@ -120,7 +120,7 @@ def minimize(fun, x0, gtol: float) -> Result:
     identity = np.eye(len(xk))
     hk = identity
     old_old_fval = old_fval + np.linalg.norm(gfk) / 2  # a first step of about 1
-    gnorm = abs(gfk).max()
+    gnorm = _max_abs(gfk)
     k = 0
     while gnorm > gtol and k < 200 * len(xk):
         pk = -np.dot(hk, gfk)
@@ -144,25 +144,29 @@ def minimize(fun, x0, gtol: float) -> Result:
         yk = gfkp1 - gfk
         gfk = gfkp1
         k += 1
-        gnorm = abs(gfk).max()
+        gnorm = _max_abs(gfk)
         if gnorm <= gtol:
             break
-        # SciPy's relative step test at xrtol = 0: alpha |pk| <= 0 * (0 + |xk|)
-        if alpha_k * _norm(pk) <= 0 and math.isfinite(_norm(xk)):
+        # SciPy's relative step test at xrtol = 0: alpha |pk| <= 0 * (0 + |xk|), with
+        # squares by * so that an overflow gives inf, as in NumPy, instead of raising
+        if alpha_k * math.sqrt(sum(v * v for v in pk.tolist())) <= 0 and math.isfinite(
+            sum(v * v for v in xk.tolist())
+        ):
             break
         if not math.isfinite(old_fval):
             break
         rhok_inv = np.dot(yk, sk)
         rhok = 1000.0 if rhok_inv == 0.0 else 1.0 / rhok_inv
-        a1 = identity - sk[:, np.newaxis] * yk[np.newaxis, :] * rhok
+        a1 = identity - np.multiply.outer(sk, yk) * rhok
         a2 = a1.T.copy()  # I - y s^T rho, entry for entry: products commute exactly
-        hk = np.dot(a1, np.dot(hk, a2)) + (rhok * sk[:, np.newaxis] * sk[np.newaxis, :])
+        hk = np.dot(a1, np.dot(hk, a2)) + np.multiply.outer(rhok * sk, sk)
     return Result(xk, old_fval, nfev)
 
 
-def _norm(v: np.ndarray):
-    """SciPy's ``vecnorm(v, ord=2)``."""
-    return np.sum(np.abs(v) ** 2, axis=0) ** (1.0 / 2)
+def _max_abs(v: np.ndarray) -> float:
+    """SciPy's ``abs(v).max()`` on Python floats: nan if any entry is nan, as NumPy's max."""
+    magnitudes = [abs(e) for e in v.tolist()]
+    return math.nan if math.isnan(sum(magnitudes)) else max(magnitudes)
 
 
 def _dcsrch(phi, stp, finit, ginit):

@@ -57,6 +57,11 @@ def _check_dim(dim: int) -> None:
         raise ValidationError(f"cutoff {dim} outside supported range [2, {CUTOFF_CAP}]")
 
 
+def _check_modes(n_modes: int) -> None:
+    if n_modes not in (1, 2):
+        raise ValidationError("oracle states support one or two modes")
+
+
 def _internal_dim(dim: int) -> int:
     return max(int(math.ceil(1.5 * dim)), dim + 10)
 
@@ -79,8 +84,7 @@ class TruncatedDensityMatrix:
 
     def __post_init__(self):
         freqs = np.atleast_1d(np.asarray(self.freqs, dtype=float))
-        if freqs.size not in (1, 2):
-            raise ValidationError("oracle states support one or two modes")
+        _check_modes(freqs.size)
         if np.any(freqs <= 0):
             raise ValidationError("mode frequencies must be positive")
         _check_dim(self.dim)
@@ -178,6 +182,8 @@ def thermal_fock_state(mean_occupations, freqs, dim: int) -> TruncatedDensityMat
     total are dropped and booked as leak.
     """
     freqs = np.atleast_1d(np.asarray(freqs, dtype=float))
+    _check_modes(freqs.size)
+    _check_dim(dim)
     occs = np.broadcast_to(
         np.asarray(mean_occupations, dtype=float), freqs.shape
     )
@@ -243,43 +249,80 @@ def _require_tail(rho: TruncatedDensityMatrix, where: str) -> np.ndarray:
     return diag
 
 
+def _ladder_shifts(dim: int) -> dict[int, tuple[slice, slice, np.ndarray]]:
+    """Levels kept, their image levels and factors c for each ladder power on a dim-level axis.
+
+    (A u)[n] = c[n] u[n + s] on the kept levels n: shift s = 1 is a, with
+    c = sqrt(n + 1), s = 2 is a^2, and s = -1 is a', which drops the top level.
+    """
+    root = np.sqrt(np.arange(1.0, dim))
+    return {
+        1: (slice(None, -1), slice(1, None), root),
+        2: (slice(None, -2), slice(2, None), root[:-1] * root[1:]),
+        -1: (slice(1, None), slice(None, -1), root),
+    }
+
+
+def _slab_overlap(left: np.ndarray, right: np.ndarray, shifts: tuple[int, ...], ladders: dict) -> complex:
+    """sum conj(left) (A right), A the ladder powers of ``shifts`` on the slab's mode axes."""
+    kept, image = [slice(None)] * left.ndim, [slice(None)] * left.ndim
+    scale = None
+    for axis, s in enumerate(shifts):
+        if s:
+            kept[axis], image[axis], c = ladders[s]
+            c = c.reshape((-1,) + (1,) * (left.ndim - 1 - axis))
+            scale = c if scale is None else scale * c
+    left = left[tuple(kept)]
+    return np.vdot(left if scale is None else left * scale, right[tuple(image)])
+
+
 def moments_of(rho: TruncatedDensityMatrix) -> tuple[np.ndarray, np.ndarray]:
     """First moments and covariance of an oracle state, with tail checks.
 
-    With u_k = sqrt(w_k) v_k, <q_i> = Re sum_k <u_k|q_i u_k> and the
-    symmetrized <q_i q_j> = Re sum_k <q_i u_k|q_j u_k>.  The components form
-    a (dim,)^n x r tensor, whose images x_m u = (a_m + a_m') u / sqrt2 and
-    p_m u = -i (a_m - a_m') u / sqrt2 are shifted slices on each mode axis,
-    a u[n] = sqrt(n+1) u[n+1] and a' u[n] = sqrt(n) u[n-1].  The rows u, x_1 u,
-    p_1 u, ..., x_N u, p_N u, read as real vectors, give every moment by one
-    real dot product per pair of rows.
+    With u_k = sqrt(w_k) v_k and <A> = sum_k <u_k|A u_k>, x_i = Re <R_i> and
+    Γ_ij = 2 Re <R_i R_j> - 2 x_i x_j for R = (x_1, p_1, ..., x_N, p_N),
+    x_m = (a_m + a_m')/sqrt2 and p_m = -i (a_m - a_m')/sqrt2, where a_m is
+    ``ladder(dim)`` on mode axis m and its transpose a_m' drops the top
+    level.  Expanded in ladders, every moment comes from a few overlaps: per
+    mode <a_m>, <a_m^2>, and <a_m' a_m> + <a_m a_m'> from the population
+    diagonal, and per pair m < l <a_m a_l> and <a_l' a_m>.  Each overlap is a
+    weighted sum of products of shifted slices of the (dim,)^n x r component
+    tensor, taken slab by slab along the first mode axis, so the overlaps
+    hold at most one dim^(n-1) x r slab at a time.
     """
-    _require_tail(rho, "moments_of")
+    diag = _require_tail(rho, "moments_of")
     n, dim = rho.n_modes, rho.dim
-    rows = np.zeros((2 * n + 1,) + (dim,) * n + (rho.weights.size,), dtype=complex)
-    t = rows[0]
-    np.multiply(rho.vectors.reshape(t.shape), np.sqrt(rho.weights), out=t)
-    half = np.sqrt(np.arange(1.0, dim) / 2.0)
-    for m in range(n):
-        scale = half.reshape((-1,) + (1,) * (n - m))
-        lo = (slice(None),) * m + (slice(None, -1),)
-        hi = (slice(None),) * m + (slice(1, None),)
-        x_row, p_row = rows[2 * m + 1], rows[2 * m + 2]
-        np.multiply(scale, t[hi], out=x_row[lo])  # a u / sqrt2
-        np.multiply(x_row[lo], -1j, out=p_row[lo])
-        up = scale * t[lo]  # a' u / sqrt2
-        x_row[hi] += up
-        up *= 1j
-        p_row[hi] += up
-    # separate dot products beat one rows @ rows.T on these long, few rows
-    real = rows.reshape(2 * n + 1, -1).view(float)
-    gram = np.empty((2 * n + 1, 2 * n + 1))
-    for i in range(2 * n + 1):
-        for j in range(i, 2 * n + 1):
-            gram[i, j] = gram[j, i] = real[i] @ real[j]
-    x = gram[0, 1:]
-    cov = 2.0 * gram[1:, 1:] - 2.0 * np.outer(x, x)
-    return x, cov
+    t = rho.vectors.reshape((dim,) * n + (rho.weights.size,))
+    ladders = _ladder_shifts(dim)
+
+    def shifts(*moves):
+        """Per-mode shifts of an overlap, from (mode, shift) pairs."""
+        return tuple(dict(moves).get(i, 0) for i in range(n))
+
+    wanted = [shifts((m, s)) for m in range(n) for s in (1, 2)]
+    wanted += [shifts((m, 1), (l, s)) for m in range(n) for l in range(m + 1, n) for s in (1, -1)]
+    sums = dict.fromkeys(wanted, 0j)
+    for k in range(dim):
+        left = t[k] * rho.weights
+        for key in wanted:
+            first = key[0]  # the first mode is only ever lowered, from level k + first to k
+            if k + first < dim:
+                factor = ladders[first][2][k] if first else 1.0
+                sums[key] += factor * _slab_overlap(left, t[k + first], key[1:], ladders)
+    lowered = [sums[shifts((m, 1))] for m in range(n)]
+    x = _SQRT2 * np.array([(f.real, f.imag) for f in lowered]).reshape(-1)
+    second = np.empty((2 * n, 2 * n))  # Re <R_i R_j>
+    for m, occ in enumerate(_occupations(dim, n)):
+        # <a'a> + <a a'> = sum (2n + 1) p_n, less the top level's dropped n + 1
+        half = float(diag @ (2.0 * occ + 1.0 - dim * (occ == dim - 1))) / 2.0
+        q = sums[shifts((m, 2))]
+        second[2 * m:2 * m + 2, 2 * m:2 * m + 2] = [[half + q.real, q.imag], [q.imag, half - q.real]]
+        for l in range(m + 1, n):
+            g, h = sums[shifts((m, 1), (l, 1))], sums[shifts((m, 1), (l, -1))]
+            block = np.array([[g.real + h.real, g.imag - h.imag], [g.imag + h.imag, h.real - g.real]])
+            second[2 * m:2 * m + 2, 2 * l:2 * l + 2] = block
+            second[2 * l:2 * l + 2, 2 * m:2 * m + 2] = block.T
+    return x, 2.0 * second - 2.0 * np.outer(x, x)
 
 
 def energy_of(rho: TruncatedDensityMatrix) -> float:
@@ -841,8 +884,10 @@ def verify(state: MomentState, steps: list[ProtocolStep] | None = None,
     unitaries from the thermal state with the final modes' occupations, must
     give back its moments and energy (moment_residual, energy_residual).
     Without a protocol, or on two modes, the direct search must meet the
-    spectral floor (floor_residual).  Both states must pass ``require_valid``.
+    spectral floor (floor_residual).  Both states must pass ``require_valid``,
+    and the cutoff must lie in [2, ``CUTOFF_CAP``].
     """
+    _check_dim(cutoff)
     spectrum = require_valid(state)
     fields = {}
     if steps is not None:

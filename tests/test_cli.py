@@ -466,6 +466,23 @@ def test_oracle_verify_prints_the_library_report(capsys, tmp_path):
         assert list(payload) == list(fields)
 
 
+def test_oracle_verify_refuses_an_unsupported_cutoff_before_allocating(capsys, tmp_path):
+    # the thermal reference used to allocate dim^2 x r entries (7.28 TiB at a
+    # cutoff of 10^6) before the state checked the cutoff, and without a
+    # protocol the cutoff was echoed back
+    path = write_state(
+        tmp_path / "mild.json", [1.0, 1.5], np.diag([math.exp(-0.5), math.exp(0.5), 1.2, 1.2])
+    )
+    out = tmp_path / "protocol.json"
+    assert main(["extract", path, "--out", str(out)]) == 0
+    capsys.readouterr()
+    for argv in (["--protocol", str(out)], []):
+        code, payload, err = run_json(capsys, ["oracle-verify", path, "--cutoff", "1000000", *argv])
+        assert code == 1
+        assert payload is None
+        assert "cutoff 1000000 outside supported range [2, 80]" in err
+
+
 def test_an_overflowing_energy_is_refused(capsys, tmp_path):
     state = MomentState(freqs=[1.0, 2.0], x=[1e160, 0.0, 0.0, 0.0], cov=np.eye(4))
     for fn in (gausswork.mean_energy, gausswork.gaussian_ergotropy, gausswork.ergotropy_gap):

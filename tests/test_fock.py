@@ -92,6 +92,22 @@ def test_state_constructors_validate():
         fock_state(0, [1.0], 200)  # cutoff above the cap
 
 
+@pytest.mark.parametrize(
+    "occupations, freqs, dim",
+    [([1.0] * 3, [1.0, 2.0, 3.0], 40), ([0.3, 0.2], [1.0, 2.0], 10**6)],
+    ids=["three-modes", "cutoff-above-the-cap"],
+)
+def test_thermal_reference_is_refused_before_it_is_allocated(occupations, freqs, dim):
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValidationError):
+            thermal_fock_state(occupations, freqs, dim)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
+
+
 def test_vacuum_moments():
     x, cov = moments_of(fock_state(0, [1.0], 20))
     assert np.allclose(x, 0.0, atol=1e-14)
@@ -145,6 +161,72 @@ def test_moments_match_traces_of_dense_ladder_products(n_modes):
     x, cov = moments_of(rho)
     assert np.max(np.abs(x_ref)) > 0.1 and np.max(np.abs(x - x_ref)) <= 1e-12
     assert np.max(np.abs(cov - (2.0 * sym - 2.0 * np.outer(x_ref, x_ref)))) <= 1e-12
+
+
+def _dense_quadratures(dim, n_modes):
+    """R = (X_1, P_1, ...) from ladder(dim) through np.kron; a' = a^T drops the top level."""
+    a, eye = ladder(dim), np.eye(dim)
+    quads = []
+    for m in range(n_modes):
+        a_m = a if n_modes == 1 else (np.kron(a, eye) if m == 0 else np.kron(eye, a))
+        quads += [(a_m + a_m.T) / math.sqrt(2.0), -1j * (a_m - a_m.T) / math.sqrt(2.0)]
+    return quads
+
+
+def _evolved_mixed_state(seed, n_modes, dim):
+    """A seeded thermal state, squeezed (two-mode squeezed and split on two modes), rotated, displaced."""
+    rng = np.random.default_rng(seed)
+    rho = thermal_fock_state(rng.uniform(0.02, 0.05, n_modes), [1.0, 2.0][:n_modes], dim)
+    if n_modes == 1:
+        ops = [squeeze(rng.uniform(-0.2, 0.2))]
+    else:
+        ops = [two_mode_squeeze(rng.uniform(0.05, 0.15)), beam_splitter(rng.uniform(-1.5, 1.5))]
+    ops += [rotation(rng.uniform(-1.5, 1.5), 0, n_modes), displacement(rng.uniform(-0.4, 0.4, 2 * n_modes))]
+    for op in ops:
+        rho = apply_gaussian_unitary(op, rho)
+    return rho
+
+
+def _with_top_level_population(rho, weight):
+    """rho mixed with a random component that puts about ``weight`` of population on the top level."""
+    rng = np.random.default_rng(17)
+    shape = (rho.dim,) * rho.n_modes
+    extra = np.zeros(shape, dtype=complex)
+    top = (slice(rho.dim - 3, None),) * rho.n_modes
+    extra[top] = rng.normal(size=extra[top].shape) + 1j * rng.normal(size=extra[top].shape)
+    extra = extra.reshape(-1) / np.linalg.norm(extra)
+    weights = np.append(rho.weights * (1.0 - weight), weight)
+    return mixture(weights / weights.sum(), [*rho.vectors.T, extra], rho.freqs, rho.dim)
+
+
+@pytest.mark.parametrize(
+    "n_modes, dim, seed, top",
+    [(1, 12, 0, 0.0), (1, 16, 1, 0.0), (2, 12, 2, 0.0), (2, 16, 3, 0.0), (2, 14, 4, 3e-6), (1, 12, 5, 3e-6)],
+)
+def test_moments_match_the_truncated_operator_definition(n_modes, dim, seed, top):
+    # x_i = Re tr(rho R_i) and Γ_ij = 2 Re tr(rho R_i R_j) - 2 x_i x_j on the
+    # cutoff's levels, including states with population on the top level,
+    # where a' = a^T drops it
+    rho = _evolved_mixed_state(seed, n_modes, dim)
+    if top:
+        rho = _with_top_level_population(rho, top)
+        assert np.max(_population_diagonal(rho).reshape((dim,) * n_modes)[..., dim - 1]) > 1e-7
+    dense = rho.dense()
+    quads = _dense_quadratures(dim, n_modes)
+    x_ref = np.array([np.trace(dense @ q).real for q in quads])
+    cov_ref = np.array(
+        [[2.0 * np.trace(dense @ qi @ qj).real for qj in quads] for qi in quads]
+    ) - 2.0 * np.outer(x_ref, x_ref)
+    if top:
+        with pytest.warns(TruncationWarning):
+            x, cov = moments_of(rho)
+    else:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", TruncationWarning)
+            x, cov = moments_of(rho)
+    scale = 1e-12 * max(1.0, float(np.max(np.abs(cov_ref))))
+    assert np.max(np.abs(x - x_ref)) <= scale
+    assert np.max(np.abs(cov - cov_ref)) <= scale
 
 
 def test_entropy_keeps_every_positive_eigenvalue():
@@ -534,6 +616,21 @@ def test_conjugation_peak_memory(op):
     finally:
         tracemalloc.stop()
     assert peak <= 4 * stack_bytes
+
+
+def test_moments_peak_memory():
+    """The overlaps are taken slab by slab: a call allocates less than one copy of the components."""
+    rho = apply_gaussian_unitary(
+        displacement([0.5, -0.3, 0.2, 0.4]), thermal_fock_state([0.3, 0.2], [1.0, 2.0], 40)
+    )
+    moments_of(rho)
+    tracemalloc.start()
+    try:
+        moments_of(rho)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= rho.vectors.nbytes
 
 
 def test_conjugation_logs_one_record_per_call(caplog):
