@@ -190,6 +190,58 @@ def occupation_entropy(mean_occupation: float) -> float:
     return (m + 1.0) * math.log1p(m) - m * math.log(m)
 
 
+def _bose_occupation(x: float) -> float:
+    """Occupation 1/(e^x - 1) of a thermal mode at x = beta*omega, without overflow at large x."""
+    return math.exp(-x) / -math.expm1(-x)
+
+
+def _truncated_populations(q: float, dim: int) -> np.ndarray:
+    """Populations q^n / sum_{k<dim} q^k of levels n < dim: q = 0 is the vacuum, q = 1 flat."""
+    p = q ** np.arange(dim)
+    return p / p.sum()
+
+
+def _thermal_nu(freq: float, temp: float) -> float:
+    """Symplectic eigenvalue coth(freq/2T) of a thermal mode; temperature 0 gives the vacuum's 1."""
+    return 1.0 if temp == 0 else 1.0 / math.tanh(freq / (2.0 * temp))
+
+
+def _common_temperature(freqs, entropy: float) -> tuple[float, list[float]]:
+    """Inverse temperature and occupations of the thermal product of this total entropy.
+
+    The total entropy grows with the occupation m of the lowest frequency, so
+    m is bracketed and bisected over [least positive float, largest float],
+    with beta*omega_min = ln(1 + 1/m).  Entropy 0 gives beta = inf and the
+    vacuum; an entropy beyond the bracket raises ValidationError.
+    """
+    if not entropy >= 0:
+        raise ValidationError("entropy must be nonnegative")
+    freqs = [float(w) for w in freqs]
+    if entropy == 0:
+        return math.inf, [0.0] * len(freqs)
+    low = min(freqs)
+
+    def occupations(m):
+        # beta * low = ln(1 + 1/m), written so that 1/m cannot overflow
+        x = math.log1p(1.0 / m) if m >= 1.0 else math.log1p(m) - math.log(m)
+        return x / low, [m if w == low else _bose_occupation(x * (w / low)) for w in freqs]
+
+    def excess(m):
+        return sum(occupation_entropy(n) for n in occupations(m)[1]) - entropy
+
+    least, largest = math.ulp(0.0), sys.float_info.max  # the least and largest positive floats
+    lo, hi = 1e-12, 1.0
+    while excess(lo) > 0.0:
+        if lo == least:
+            raise ValidationError(f"entropy {entropy} out of solvable range")
+        lo = max(lo / 100.0, least)
+    while excess(hi) < 0.0:
+        if hi == largest:
+            raise ValidationError(f"entropy {entropy} out of solvable range")
+        hi = min(hi * 2.0, largest)
+    return occupations(_bisect(excess, lo, hi))
+
+
 def _bisect(f, lo: float, hi: float) -> float:
     """Root of f in [lo, hi], where f(lo) and f(hi) do not share a sign.
 
@@ -242,11 +294,6 @@ def thermal_state(freqs, temperatures) -> MomentState:
     temps = np.broadcast_to(np.asarray(temperatures, dtype=float), freqs.shape)
     if np.any(temps < 0):
         raise ValidationError("temperatures must be nonnegative")
-    nus = np.array(
-        [
-            1.0 if t == 0 else 1.0 / math.tanh(w / (2.0 * t))
-            for w, t in zip(freqs, temps)
-        ]
-    )
+    nus = np.array([_thermal_nu(w, t) for w, t in zip(freqs, temps)])
     cov = np.diag(np.repeat(nus, 2))
     return MomentState(freqs=freqs, x=np.zeros(2 * freqs.size), cov=cov)

@@ -27,6 +27,7 @@ import numpy as np
 from .core import (
     DEFAULT_TOL,
     MomentState,
+    _thermal_nu,
     mean_energy,
     mode_energy,
     require_valid,
@@ -39,6 +40,7 @@ from .ops import (
     apply,
     beam_splitter,
     displacement,
+    inverse,
     rotation,
     squeeze,
     two_mode_squeeze,
@@ -84,6 +86,11 @@ class ExtractionReport:
     sweeps: int  # whole-state verdicts taken
 
 
+def _same_frequency(low: float, high: float) -> bool:
+    """Whether frequencies low <= high count as equal: relative difference at most 1e-12."""
+    return high - low <= 1e-12 * high
+
+
 def _passivity(freqs: np.ndarray, x: np.ndarray, cov: np.ndarray, tol: float) -> PassivityVerdict:
     """Gaussian passivity of the moments (x, cov) of modes with these frequencies.
 
@@ -109,7 +116,7 @@ def _passivity(freqs: np.ndarray, x: np.ndarray, cov: np.ndarray, tol: float) ->
 
     groups: list[list[int]] = []  # equal frequencies (relative 1e-12), ascending
     for m in np.argsort(freqs, kind="stable").tolist():
-        if groups and freqs[m] - freqs[groups[-1][0]] <= 1e-12 * freqs[m]:
+        if groups and _same_frequency(freqs[groups[-1][0]], freqs[m]):
             groups[-1].append(m)
         else:
             groups.append([m])
@@ -224,6 +231,29 @@ def bs_angle(a_t: float, b_t: float, c: float, first_larger: bool = True) -> flo
     if (a_t < b_t) == first_larger:
         theta += math.pi / 2
     return theta
+
+
+def _decoupled_pair(state: MomentState) -> tuple[MomentState, list[GaussianOp]]:
+    """A two-mode state brought to a product by a turn and a split, and the ops that undo them.
+
+    A cross block c*1 + d*Omega (c and d averaged over the block) becomes
+    hypot(c, d)*1 under a rotation of mode 1 by atan2(d, c), and the beam
+    splitter at ``bs_angle`` removes it.  A one-mode state, or a coupling of
+    at most 1e-12, is returned as it is, with no ops.
+    """
+    if state.n_modes != 2:
+        return state, []
+    cov = state.cov
+    c = 0.5 * (cov[0, 2] + cov[1, 3])
+    d = 0.5 * (cov[0, 3] - cov[1, 2])
+    coupling = math.hypot(c, d)
+    if coupling <= 1e-12:
+        return state, []
+    a_t = 0.5 * (cov[0, 0] + cov[1, 1])
+    b_t = 0.5 * (cov[2, 2] + cov[3, 3])
+    turn = rotation(math.atan2(d, c), 1, 2)
+    splitter = beam_splitter(bs_angle(a_t, b_t, coupling), (0, 1), 2)
+    return apply(splitter, apply(turn, state)), [inverse(splitter), inverse(turn)]
 
 
 def minimal_gaussian_energy(spectrum, freqs) -> float:
@@ -462,9 +492,11 @@ def thermal_product_passivity(
 ) -> bool:
     """Gaussian passivity of a two-mode thermal product, labeled freq_a <= freq_b.
 
-    The product is passive exactly when the colder-labeled covariance is not
-    smaller: coth(freq_a / 2 temp_a) >= coth(freq_b / 2 temp_b), with the
-    zero-temperature limit coth -> 1; ties count as passive.
+    Equal frequencies (``_passivity``'s relative 1e-12) make every product
+    passive.  Otherwise the product is passive exactly when the
+    colder-labeled covariance is not smaller: coth(freq_a / 2 temp_a) >=
+    coth(freq_b / 2 temp_b), with the zero-temperature limit coth -> 1; ties
+    count as passive.
     """
     if freq_a <= 0 or freq_b <= 0:
         raise ValidationError("frequencies must be positive")
@@ -472,6 +504,6 @@ def thermal_product_passivity(
         raise ValidationError("temperatures must be nonnegative")
     if freq_a > freq_b:
         raise ValidationError("label the modes so that freq_a <= freq_b")
-    nu_a = 1.0 if temp_a == 0 else 1.0 / math.tanh(freq_a / (2.0 * temp_a))
-    nu_b = 1.0 if temp_b == 0 else 1.0 / math.tanh(freq_b / (2.0 * temp_b))
-    return nu_a >= nu_b - tol
+    if _same_frequency(freq_a, freq_b):
+        return True
+    return _thermal_nu(freq_a, temp_a) >= _thermal_nu(freq_b, temp_b) - tol

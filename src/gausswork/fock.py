@@ -24,14 +24,14 @@ import numpy as np
 # brute_force_min_energy looks minimize up here on each local solve, so a
 # wrapper put in its place (a tracer counting each result's nfev) sees every solve.
 from .bfgs import minimize
-from .core import MomentState, mean_energy, require_valid
+from .core import MomentState, _truncated_populations, mean_energy, require_valid
 from .exceptions import (
     BudgetWarning,
     TruncationError,
     TruncationWarning,
     ValidationError,
 )
-from .extraction import minimal_gaussian_energy
+from .extraction import _decoupled_pair, minimal_gaussian_energy
 from .ops import (
     GaussianOp, ProtocolStep, apply, compose, inverse, rotation, squeeze, two_mode_squeeze,
 )
@@ -130,33 +130,36 @@ def density_matrix(matrix, freqs, dim: int | None = None) -> TruncatedDensityMat
 
 
 def pure_state(vector, freqs, dim: int | None = None) -> TruncatedDensityMatrix:
+    """|v><v| as a one-component ``mixture``; v must have norm 1 within 1e-10."""
     vector = np.asarray(vector, dtype=complex).reshape(-1)
-    freqs = np.atleast_1d(np.asarray(freqs, dtype=float))
-    if dim is None:
-        dim = round(vector.size ** (1.0 / freqs.size))
     norm = float(np.linalg.norm(vector))
     if abs(norm - 1.0) > 1e-10:
         raise ValidationError(f"state vector norm {norm} differs from 1")
-    return TruncatedDensityMatrix(
-        dim=dim,
-        freqs=freqs,
-        weights=np.array([1.0]),
-        vectors=vector.copy().reshape(-1, 1),
-    )
+    return mixture([1.0], [vector], freqs, dim)
 
 
 def mixture(weights, vectors, freqs, dim: int | None = None) -> TruncatedDensityMatrix:
+    """sum_k w_k |v_k><v_k| for weights summing to 1 and components of norm at most 1.
+
+    Both hold within 1e-10.  A component below norm 1, as a conjugation
+    leaves one where the cutoff dropped amplitude, keeps its norm, and the
+    trace the components lack is booked as leak.
+    """
     weights = np.asarray(weights, dtype=float).reshape(-1)
     if abs(float(weights.sum()) - 1.0) > 1e-10 or np.any(weights < 0):
         raise ValidationError("mixture weights must be nonnegative and sum to 1")
-    stacked = np.column_stack(
-        [np.asarray(v, dtype=complex).reshape(-1) for v in vectors]
-    )
+    columns = [np.asarray(v, dtype=complex).reshape(-1) for v in vectors]
+    norms = np.array([np.linalg.norm(v) for v in columns])
+    if np.any(norms > 1.0 + 1e-10):
+        k = int(np.argmax(norms))
+        raise ValidationError(f"component {k} has norm {norms[k]}, above 1")
+    stacked = np.column_stack(columns)
     freqs = np.atleast_1d(np.asarray(freqs, dtype=float))
     if dim is None:
         dim = round(stacked.shape[0] ** (1.0 / freqs.size))
     return TruncatedDensityMatrix(
-        dim=dim, freqs=freqs, weights=weights.copy(), vectors=stacked
+        dim=dim, freqs=freqs, weights=weights.copy(), vectors=stacked,
+        leak=max(1.0 - float(weights @ norms**2), 0.0),
     )
 
 
@@ -164,6 +167,8 @@ def fock_state(ns, freqs, dim: int) -> TruncatedDensityMatrix:
     """|n> or |n_a, n_b> as a truncated pure state."""
     ns = tuple(np.atleast_1d(ns).astype(int))
     freqs = np.atleast_1d(np.asarray(freqs, dtype=float))
+    if len(ns) != freqs.size:
+        raise ValidationError(f"expected one occupation per mode ({freqs.size}), got {len(ns)}")
     size = dim ** freqs.size
     idx = 0
     for n in ns:
@@ -178,8 +183,10 @@ def fock_state(ns, freqs, dim: int) -> TruncatedDensityMatrix:
 def thermal_fock_state(mean_occupations, freqs, dim: int) -> TruncatedDensityMatrix:
     """Product of truncated thermal modes, renormalized over the cutoff.
 
-    Stored as weighted number-basis components; weights below 1e-16 of the
-    total are dropped and booked as leak.
+    An occupation m, finite and nonnegative, gives the populations
+    q^n / sum_{k<dim} q^k with q = m/(m + 1).  Stored as weighted
+    number-basis components; weights below 1e-16 of the total are dropped
+    and booked as leak.
     """
     freqs = np.atleast_1d(np.asarray(freqs, dtype=float))
     _check_modes(freqs.size)
@@ -187,18 +194,9 @@ def thermal_fock_state(mean_occupations, freqs, dim: int) -> TruncatedDensityMat
     occs = np.broadcast_to(
         np.asarray(mean_occupations, dtype=float), freqs.shape
     )
-    pops = []
-    for m in occs:
-        if m < 0:
-            raise ValidationError("mean occupation must be nonnegative")
-        if m == 0:
-            p = np.zeros(dim)
-            p[0] = 1.0
-        else:
-            q = m / (m + 1.0)
-            p = (1.0 - q) * q ** np.arange(dim)
-            p /= p.sum()
-        pops.append(p)
+    if not np.all((occs >= 0) & np.isfinite(occs)):
+        raise ValidationError("mean occupations must be finite and nonnegative")
+    pops = [_truncated_populations(m / (m + 1.0), dim) for m in occs.tolist()]
     diag = pops[0] if len(pops) == 1 else np.kron(pops[0], pops[1])
     keep = np.flatnonzero(diag > 1e-16)
     dropped = float(diag[diag <= 1e-16].sum())
@@ -882,7 +880,11 @@ def verify(state: MomentState, steps: list[ProtocolStep] | None = None,
     come together.  With them the composed steps must carry ``state`` to
     ``final_state`` (replay_residual), and the inverse steps, run as Fock
     unitaries from the thermal state with the final modes' occupations, must
-    give back its moments and energy (moment_residual, energy_residual).
+    give back its moments and energy (moment_residual, energy_residual).  A
+    final pair coupled by a cross block c*1 + d*Omega is first turned and
+    split to a product (``_decoupled_pair``); the thermal state takes the
+    product's occupations, and the ops undoing the split run before the
+    inverse steps.
     Without a protocol, or on two modes, the direct search must meet the
     spectral floor (floor_residual).  Both states must pass ``require_valid``,
     and the cutoff must lie in [2, ``CUTOFF_CAP``].
@@ -896,11 +898,12 @@ def verify(state: MomentState, steps: list[ProtocolStep] | None = None,
         fields["spectrum"] = [float(v) for v in require_valid(final_state)]
         replayed = apply(compose([s.op for s in steps]), state) if steps else state
         fields["replay_residual"] = _moment_gap(replayed.x, replayed.cov, final_state)
-        diag = np.diag(final_state.cov)
+        product, undo = _decoupled_pair(final_state)
+        diag = np.diag(product.cov)
         occupations = (0.5 * (diag[0::2] + diag[1::2]) - 1.0) / 2.0
         rho = thermal_fock_state(occupations, final_state.freqs, cutoff)
-        for step in reversed(steps):
-            rho = apply_gaussian_unitary(inverse(step.op), rho)
+        for op in undo + [inverse(step.op) for step in reversed(steps)]:
+            rho = apply_gaussian_unitary(op, rho)
         fields["moment_residual"] = _moment_gap(*moments_of(rho), state)
         fields["energy_residual"] = float(abs(energy_of(rho) - mean_energy(state)))
     if steps is None or state.n_modes == 2:

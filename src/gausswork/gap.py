@@ -18,24 +18,23 @@ from __future__ import annotations
 import bisect
 import dataclasses
 import math
-import sys
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .core import (
     MomentState,
-    _bisect,
+    _bose_occupation,
+    _common_temperature,
+    _truncated_populations,
     gaussian_entropy,
     mean_energy,
-    occupation_entropy,
     require_valid,
     state_entropy,
     thermal_state,
 )
 from .exceptions import TruncationError, ValidationError
-from .extraction import bs_angle, is_gaussian_passive, minimal_gaussian_energy
-from .ops import apply, beam_splitter, inverse, rotation
+from .extraction import _decoupled_pair, is_gaussian_passive, minimal_gaussian_energy
 
 if TYPE_CHECKING:  # the oracle loads on use
     from .fock import TruncatedDensityMatrix
@@ -113,19 +112,7 @@ def pure_match_for_state(state: MomentState, dim: int) -> TruncatedDensityMatrix
             "pure matching needs a Gaussian-passive state; violations: "
             + "; ".join(verdict.violations)
         )
-    undo = []
-    if state.n_modes == 2:
-        cov = state.cov
-        c = 0.5 * (cov[0, 2] + cov[1, 3])
-        d = 0.5 * (cov[0, 3] - cov[1, 2])
-        coupling = math.hypot(c, d)
-        if coupling > 1e-12:
-            a_t = 0.5 * (cov[0, 0] + cov[1, 1])
-            b_t = 0.5 * (cov[2, 2] + cov[3, 3])
-            turn = rotation(math.atan2(d, c), 1, 2)
-            splitter = beam_splitter(bs_angle(a_t, b_t, coupling), (0, 1), 2)
-            state = apply(splitter, apply(turn, state))
-            undo = [inverse(splitter), inverse(turn)]
+    state, undo = _decoupled_pair(state)
     vector = np.ones(1)
     for m in range(state.n_modes):
         match = match_pure_state(state.cov[2 * m, 2 * m])
@@ -138,37 +125,9 @@ def pure_match_for_state(state: MomentState, dim: int) -> TruncatedDensityMatrix
 
 def thermal_beta_for_entropy(entropy: float, freq: float = 1.0) -> float:
     """Inverse temperature of the single-mode thermal state with this entropy."""
-    if entropy < 0:
-        raise ValidationError("entropy must be nonnegative")
     if freq <= 0:
         raise ValidationError("frequency must be positive")
-    if entropy == 0:
-        return math.inf
-    least, largest = math.ulp(0.0), sys.float_info.max  # the least and largest positive floats
-    lo, hi = 1e-12, 1.0
-    while occupation_entropy(lo) > entropy:
-        if lo == least:
-            raise ValidationError(f"entropy {entropy} out of solvable range")
-        lo = max(lo / 100.0, least)
-    while occupation_entropy(hi) < entropy:
-        if hi == largest:
-            raise ValidationError(f"entropy {entropy} out of solvable range")
-        hi = min(hi * 2.0, largest)
-    occ = _bisect(lambda m: occupation_entropy(m) - entropy, lo, hi)
-    # beta * freq = ln(1 + 1/occ), written so that 1/occ cannot overflow
-    if occ >= 1.0:
-        return math.log1p(1.0 / occ) / freq
-    return (math.log1p(occ) - math.log(occ)) / freq
-
-
-def _thermal_populations(beta: float, freq: float, dim: int) -> np.ndarray:
-    p = np.zeros(dim)
-    if math.isinf(beta):
-        p[0] = 1.0
-        return p
-    q = math.exp(-beta * freq)
-    p = -math.expm1(-beta * freq) * q ** np.arange(dim)
-    return p / p.sum()
+    return _common_temperature([freq], entropy)[0]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -198,7 +157,7 @@ def fixed_entropy_state(
     if nu_target < 1.0 - 1e-12:
         raise ValidationError(f"target eigenvalue {nu_target} below vacuum")
     beta = thermal_beta_for_entropy(entropy, freq)
-    occ_thermal = 0.0 if math.isinf(beta) else 1.0 / math.expm1(beta * freq)
+    occ_thermal = _bose_occupation(beta * freq)
     nu_thermal = 2.0 * occ_thermal + 1.0
     excess = (nu_target - nu_thermal) / 2.0
     if excess < -1e-12:
@@ -206,7 +165,7 @@ def fixed_entropy_state(
             f"entropy {entropy} forces occupation above the target covariance"
         )
     excess = max(excess, 0.0)
-    pops = _thermal_populations(beta, freq, cutoff)
+    pops = _truncated_populations(math.exp(-beta * freq), cutoff)
     level = None
     for n in range(3, cutoff // 2 + 1):
         if n * (pops[0] - pops[n]) >= excess - 1e-15:
@@ -273,29 +232,10 @@ def _min_energy_at_entropy(freqs: np.ndarray, entropy: float) -> float:
     """Least mean energy of any state of given entropy on these modes.
 
     The minimum over occupation splits is attained by a common-temperature
-    thermal product, so this reduces to a one-dimensional root find in the
-    inverse temperature.
+    thermal product, the one ``_common_temperature`` finds.
     """
-    if entropy == 0:
-        return 0.0
-
-    def occupation(x):  # 1 / (e^x - 1), without overflow at large x
-        return math.exp(-x) / -math.expm1(-x)
-
-    def total_entropy(beta):
-        return sum(occupation_entropy(occupation(beta * w)) for w in freqs)
-
-    lo, hi = 1.0, 1.0
-    while total_entropy(lo) < entropy:
-        lo /= 2.0
-        if lo < 1e-280:
-            raise ValidationError(f"entropy {entropy} out of solvable range")
-    while total_entropy(hi) > entropy:
-        hi *= 2.0
-        if hi > 1e280:
-            raise ValidationError(f"entropy {entropy} out of solvable range")
-    beta = _bisect(lambda b: total_entropy(b) - entropy, lo, hi)
-    return sum(w * occupation(beta * w) for w in freqs)
+    _, occupations = _common_temperature(freqs, entropy)
+    return sum(w * n for w, n in zip(freqs, occupations))
 
 
 def ergotropy_gap(

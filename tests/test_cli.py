@@ -23,7 +23,7 @@ from gausswork import (
     steps_from_dict,
 )
 from gausswork.cli import main
-from gausswork.ops import apply, compose, two_mode_squeeze
+from gausswork.ops import apply, beam_splitter, compose, two_mode_squeeze
 
 
 def write_state(path, freqs, cov, x=None, **extra):
@@ -350,6 +350,23 @@ def test_gap_at_tiny_entropy(capsys, tmp_path):
     assert math.isfinite(payload["gap"])
 
 
+def test_gap_answers_the_whole_entropy_range(capsys, tmp_path):
+    # one inversion for every entropy: gap used to refuse from S = 645.7 up,
+    # and to answer below the entropy of the least positive occupation
+    path = write_state(tmp_path / "hot.json", [1.0], 1e305 * np.eye(2))
+    for entropy in ("645.8", "700"):
+        code, payload, err = run_json(capsys, ["gap", path, "--entropy", entropy])
+        assert code == 0, err
+        assert 0.0 < payload["total_extractable"] <= payload["initial_energy"]
+    # the least energy at S = 710.78 is about the largest float, above any state's
+    code, payload, err = run_json(capsys, ["gap", path, "--entropy", "710.78"])
+    assert code == 1 and "is unattainable" in err
+    for entropy in ("1e-322", "3.6e-321", "711"):
+        code, payload, err = run_json(capsys, ["gap", path, "--entropy", entropy])
+        assert code == 1 and payload is None
+        assert "out of solvable range" in err
+
+
 def test_witness_command(capsys):
     code, payload, _ = run_json(capsys, ["witness", "--ta", "1.0", "--tb", "2.0"])
     assert code == 0
@@ -413,6 +430,27 @@ def test_oracle_verify_protocol_replay(capsys, tmp_path):
         assert payload["energy_residual"] < 1e-6
         assert abs(payload["floor_residual"]) < 1e-4
         assert np.allclose(payload["spectrum"], spectrum, atol=1e-9)
+
+
+@pytest.mark.parametrize("shift", [None, [0.4, -0.2, 0.3, 0.1]], ids=["no-steps", "one-step"])
+def test_oracle_verify_replays_from_a_coupled_equal_frequency_final_state(capsys, tmp_path, shift):
+    # a clause-"ii" passive pair at equal frequencies: the thermal reference is
+    # the product the pair splits into, turned back, not the thermal state of
+    # the diagonal of Γ (moment_residual 0.631 before)
+    splitter = beam_splitter(0.5).S
+    cov = splitter @ np.diag([3.0, 3.0, 1.5, 1.5]) @ splitter.T
+    path = write_state(tmp_path / "coupled.json", [1.0, 1.0], cov, shift)
+    out = tmp_path / "protocol.json"
+    code, payload, _ = run_json(capsys, ["extract", path, "--out", str(out)])
+    assert code == 0 and payload["passive"] is True
+    assert payload["steps"] == (0 if shift is None else 1)
+    code, payload, err = run_json(
+        capsys, ["oracle-verify", path, "--protocol", str(out), "--cutoff", "40"]
+    )
+    assert code == 0, err
+    assert payload["replay_residual"] < 1e-12
+    assert payload["moment_residual"] <= 1e-9
+    assert payload["energy_residual"] <= 1e-9
 
 
 def test_oracle_verify_without_protocol(capsys, misordered_file):

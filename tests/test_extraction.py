@@ -934,17 +934,20 @@ def test_nmode_two_mode_agrees_with_pipeline():
 
 
 def test_thermal_product_passivity_against_verdict():
-    # coth(freq / 2T) covariances assembled by hand must agree with the verdict
-    for ta in (0.25, 1.0, 2.0, 4.0):
-        for tb in (0.25, 1.0, 2.0, 4.0):
-            nu_a = 1.0 / math.tanh(1.0 / (2.0 * ta))
-            nu_b = 1.0 / math.tanh(2.0 / (2.0 * tb))
-            st = two_mode(
-                np.diag([nu_a, nu_a, nu_b, nu_b]), freqs=(1.0, 2.0)
-            )
-            assert thermal_product_passivity(1.0, 2.0, ta, tb) == bool(
-                is_gaussian_passive(st).passive
-            )
+    # coth(freq / 2T) covariances assembled by hand must agree with the verdict;
+    # frequencies equal within 1e-12 make every product passive
+    pairs = [(1.0, 2.0), (1.0, 1.0), (2.5, 2.5), (1.0, 1.0 + 4e-13), (3.0, 3.0 * (1.0 + 9e-13))]
+    for freq_a, freq_b in pairs:
+        for ta in (0.25, 1.0, 2.0, 4.0):
+            for tb in (0.25, 1.0, 2.0, 4.0):
+                nu_a = 1.0 / math.tanh(freq_a / (2.0 * ta))
+                nu_b = 1.0 / math.tanh(freq_b / (2.0 * tb))
+                st = two_mode(
+                    np.diag([nu_a, nu_a, nu_b, nu_b]), freqs=(freq_a, freq_b)
+                )
+                assert thermal_product_passivity(freq_a, freq_b, ta, tb) == bool(
+                    is_gaussian_passive(st).passive
+                )
 
 
 def test_thermal_product_boundary_is_passive():

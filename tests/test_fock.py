@@ -108,6 +108,52 @@ def test_thermal_reference_is_refused_before_it_is_allocated(occupations, freqs,
     assert peak < 100_000
 
 
+@pytest.mark.parametrize("occupation", [math.nan, math.inf])
+def test_thermal_reference_refuses_non_finite_occupations(occupation):
+    # a NaN occupation used to give a state with no components, on which
+    # moments_of returned Γ = 0 without an error
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValidationError, match="finite and nonnegative"):
+            thermal_fock_state(occupation, [1.0], 10)
+        with pytest.raises(ValidationError, match="finite and nonnegative"):
+            thermal_fock_state([0.3, occupation], [1.0, 2.0], 10)
+
+
+@pytest.mark.parametrize("occupation", [1e16, 1e17])
+def test_a_flat_thermal_reference_is_refused_by_the_tail_check(occupation):
+    # q = m / (m + 1) rounds to 1: the populations are flat and finite, so
+    # moments_of refuses the state instead of returning Γ = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rho = thermal_fock_state(occupation, [1.0], 10)
+        assert np.array_equal(rho.weights, np.full(10, 0.1))
+        with pytest.raises(TruncationError):
+            moments_of(rho)
+
+
+def test_constructors_refuse_malformed_components():
+    with pytest.raises(ValidationError, match="norm"):
+        mixture([1.0], [[2, 0, 0, 0, 0, 0]], [1.0])  # trace 4
+    with pytest.raises(ValidationError, match="norm"):
+        mixture([0.5, 0.5], [np.eye(4)[0], 1.5 * np.eye(4)[1]], [1.0])
+    with pytest.raises(ValidationError, match="one occupation per mode"):
+        fock_state([1], [1.0, 2.0], 10)
+    with pytest.raises(ValidationError, match="one occupation per mode"):
+        fock_state([1, 2, 3], [1.0], 10)
+    with pytest.raises(ValidationError, match="norm"):
+        pure_state([0.5, 0.0, 0.0], [1.0])
+
+
+def test_a_mixture_books_the_trace_its_components_lack_as_leak():
+    # components that lost norm to a cutoff keep it; the missing trace is leak
+    rho = mixture([0.5, 0.5], [np.eye(20)[0], 0.5 * np.eye(20)[1]], [1.0])
+    assert rho.leak == pytest.approx(0.375, abs=1e-15)
+    with pytest.raises(TruncationError):
+        moments_of(rho)
+    assert mixture([0.5, 0.5], np.eye(20)[:2], [1.0]).leak == 0.0
+
+
 def test_vacuum_moments():
     x, cov = moments_of(fock_state(0, [1.0], 20))
     assert np.allclose(x, 0.0, atol=1e-14)

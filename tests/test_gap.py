@@ -182,6 +182,36 @@ def test_thermal_beta_at_huge_entropy():
         thermal_beta_for_entropy(711.0)  # above the entropy of the largest float occupation
 
 
+def test_both_entropy_inversions_answer_the_same_range():
+    # one inversion behind both: _min_energy_at_entropy used to refuse from
+    # S = 645.7 up and to answer 5e-324 at S = 1e-322
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for entropy in (3.68e-321, 1e-300, 1.0, 645.8, 700.0, 710.78):
+            beta = thermal_beta_for_entropy(entropy)
+            occupation = _min_energy_at_entropy(np.array([1.0]), entropy)
+            assert 0.0 < beta < math.inf and 0.0 < occupation < math.inf
+            if entropy >= 1e-300:
+                assert occupation_entropy(occupation) == pytest.approx(entropy, rel=1e-12, abs=0.0)
+        for entropy in (1e-322, 3.6e-321, 711.0):
+            with pytest.raises(ValidationError, match="out of solvable range"):
+                thermal_beta_for_entropy(entropy)
+            with pytest.raises(ValidationError, match="out of solvable range"):
+                _min_energy_at_entropy(np.array([1.0]), entropy)
+
+
+def test_fixed_entropy_state_at_a_subnormal_entropy():
+    # beta * freq is about 720 here, where 1 / expm1 used to overflow
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        c = fixed_entropy_state(3.0, 1e-310)
+    assert c.level == 3 and c.nu_thermal == 1.0
+    x, cov = moments_of(c.state)
+    assert np.max(np.abs(x)) < 1e-12
+    assert np.max(np.abs(cov - 3.0 * np.eye(2))) < 1e-9
+    assert entropy_of(c.state) < 1e-12
+
+
 def test_min_energy_at_entropy_round_trip():
     # The least energy at the entropy of a common-temperature thermal product
     # is that product's own energy.
