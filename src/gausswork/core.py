@@ -201,6 +201,12 @@ def _truncated_populations(q: float, dim: int) -> np.ndarray:
     return p / p.sum()
 
 
+def _require_temperatures(temps) -> None:
+    """Refuse a temperature that is negative, infinite or NaN."""
+    if not all(0.0 <= t < math.inf for t in temps):
+        raise ValidationError("temperatures must be finite and nonnegative")
+
+
 def _thermal_nu(freq: float, temp: float) -> float:
     """Symplectic eigenvalue coth(freq/2T) of a thermal mode; temperature 0 gives the vacuum's 1."""
     return 1.0 if temp == 0 else 1.0 / math.tanh(freq / (2.0 * temp))
@@ -292,8 +298,7 @@ def thermal_state(freqs, temperatures) -> MomentState:
     """Product of thermal modes; temperature 0 gives the vacuum for that mode."""
     freqs = np.atleast_1d(np.asarray(freqs, dtype=float))
     temps = np.broadcast_to(np.asarray(temperatures, dtype=float), freqs.shape)
-    if np.any(temps < 0):
-        raise ValidationError("temperatures must be nonnegative")
+    _require_temperatures(temps.tolist())
     nus = np.array([_thermal_nu(w, t) for w, t in zip(freqs, temps)])
     cov = np.diag(np.repeat(nus, 2))
     return MomentState(freqs=freqs, x=np.zeros(2 * freqs.size), cov=cov)

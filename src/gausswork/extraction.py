@@ -27,6 +27,7 @@ import numpy as np
 from .core import (
     DEFAULT_TOL,
     MomentState,
+    _require_temperatures,
     _thermal_nu,
     mean_energy,
     mode_energy,
@@ -500,8 +501,7 @@ def thermal_product_passivity(
     """
     if freq_a <= 0 or freq_b <= 0:
         raise ValidationError("frequencies must be positive")
-    if temp_a < 0 or temp_b < 0:
-        raise ValidationError("temperatures must be nonnegative")
+    _require_temperatures((temp_a, temp_b))
     if freq_a > freq_b:
         raise ValidationError("label the modes so that freq_a <= freq_b")
     if _same_frequency(freq_a, freq_b):

@@ -71,9 +71,10 @@ class TruncatedDensityMatrix:
     """A density matrix rho = sum_k w_k |v_k><v_k| on (dim)^n_modes levels.
 
     The state is held as its weighted pure components: the weights w_k and
-    the column vectors v_k, stacked dim^n x r.  Conjugations, moments and
-    spectra run on the stacked vectors; ``dense`` assembles the matrix on
-    each call.  leak records trace lost to cutoff projections.
+    the column vectors v_k, stacked C-contiguous dim^n x r so that their
+    float view is dim^n x 2r.  Conjugations, moments and spectra run on the
+    stacked vectors; ``dense`` assembles the matrix on each call.  leak
+    records trace lost to cutoff projections.
     """
 
     dim: int
@@ -89,7 +90,7 @@ class TruncatedDensityMatrix:
             raise ValidationError("mode frequencies must be positive")
         _check_dim(self.dim)
         self.weights = np.asarray(self.weights, dtype=float).reshape(-1)
-        self.vectors = np.asarray(self.vectors, dtype=complex)
+        self.vectors = np.ascontiguousarray(self.vectors, dtype=complex)
         if self.vectors.shape != (self.dim**freqs.size, self.weights.size):
             raise ValidationError("component vectors must be columns of size^n")
         self.freqs = freqs
@@ -125,7 +126,7 @@ def density_matrix(matrix, freqs, dim: int | None = None) -> TruncatedDensityMat
     eigs, vecs = np.linalg.eigh(matrix)
     keep = eigs > 0.0
     return TruncatedDensityMatrix(
-        dim=dim, freqs=freqs, weights=eigs[keep], vectors=np.ascontiguousarray(vecs[:, keep])
+        dim=dim, freqs=freqs, weights=eigs[keep], vectors=vecs[:, keep]
     )
 
 
@@ -220,7 +221,15 @@ def _occupations(dim: int, n_modes: int) -> list[np.ndarray]:
 
 
 def _population_diagonal(rho: TruncatedDensityMatrix) -> np.ndarray:
-    return (np.abs(rho.vectors) ** 2) @ rho.weights
+    """sum_k w_k |v_k|^2 per level, from the float view: no |v|^2 array is formed."""
+    f = rho.vectors.view(float)
+    return np.einsum("ij,ij,j->i", f, f, np.repeat(rho.weights, 2))
+
+
+def _squared_norms(vectors: np.ndarray) -> np.ndarray:
+    """|v_k|^2 of each column of a C-contiguous stack, from its float view."""
+    f = vectors.view(float)
+    return np.einsum("ij,ij->j", f, f).reshape(-1, 2).sum(axis=1)
 
 
 def _require_tail(rho: TruncatedDensityMatrix, where: str) -> np.ndarray:
@@ -386,7 +395,7 @@ def _chain(amps: np.ndarray, kept: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _chain_block(chain: tuple[np.ndarray, np.ndarray], t: float) -> np.ndarray:
     """exp(t T) on a chain's kept levels; real, since T is."""
     rows, eigs = chain
-    return ((rows * np.exp(1j * t * eigs)) @ rows.conj().T).real
+    return np.ascontiguousarray(((rows * np.exp(1j * t * eigs)) @ rows.conj().T).real)
 
 
 @functools.lru_cache(maxsize=CUTOFF_CAP)
@@ -435,6 +444,26 @@ def _bases(kind: str, dim: int) -> list[tuple]:
     return sectors
 
 
+@functools.lru_cache(maxsize=CUTOFF_CAP)
+def _sector_rows(kind: str, dim: int, modes: tuple[int, int]) -> list[tuple[slice, bool]]:
+    """Each two-mode sector's kept levels as a basic slice of the flat (dim, dim) grid.
+
+    The kept levels are one run along a diagonal of the grid, at flat step
+    dim + 1 for a two-mode squeeze and dim - 1 for a beam splitter.  Modes
+    (1, 0) read the grid transposed, which runs the beam splitter's levels
+    backwards; the slice then runs forwards and the flag says that the
+    sector's block must be read reversed, since a negative-stride operand
+    reaches BLAS only through a copy, cheap for a block and not for the rows.
+    """
+    step = dim + 1 if kind == "two_mode_squeeze" else dim - 1
+    backwards = kind == "beam_splitter" and modes == (1, 0)
+    rows = []
+    for (na, nb), _ in _bases(kind, dim):
+        first = int((na * dim + nb if modes == (0, 1) else nb * dim + na).min())
+        rows.append((slice(first, first + step * na.size, step), backwards))
+    return rows
+
+
 def _single_mode_unitary(kind: str, params: dict, dim: int) -> np.ndarray:
     """A one-mode unitary on the cutoff's levels: phases for a rotation, else a dense block."""
     if kind == "rotation":
@@ -470,8 +499,9 @@ def _unitary_factors(op: GaussianOp, dim: int) -> list[tuple]:
     """The op's unitary on the cutoff's dim levels per mode as ``(modes, block)`` factors.
 
     A one-mode factor holds the phases or the dense dim x dim block for its
-    tensor axis; a two-mode factor holds the dense blocks of its conserved
-    sectors.  No factor is a dim^n x dim^n matrix.
+    tensor axis; a two-mode factor holds ``(rows, block)`` per conserved
+    sector, ``rows`` the sector's slice of the flat grid (``_sector_rows``).
+    No factor is a dim^n x dim^n matrix.
     """
     if op.n_modes not in (1, 2):
         raise ValidationError("oracle unitaries support one or two modes")
@@ -483,50 +513,60 @@ def _unitary_factors(op: GaussianOp, dim: int) -> list[tuple]:
             for m, (dx, dp) in enumerate(op.d.reshape(-1, 2))
         ]
     if op.kind == "two_mode_squeeze":
-        return [(op.modes, _tms_sectors(op.params["r"], dim))]
-    if op.kind == "beam_splitter":
-        return [(op.modes, _bs_sectors(op.params["theta"], dim))]
-    raise ValidationError(f"operation kind {op.kind!r} has no oracle unitary")
+        sectors = _tms_sectors(op.params["r"], dim)
+    elif op.kind == "beam_splitter":
+        sectors = _bs_sectors(op.params["theta"], dim)
+    else:
+        raise ValidationError(f"operation kind {op.kind!r} has no oracle unitary")
+    return [(op.modes, [
+        (rows, block[::-1, ::-1] if backwards else block)
+        for (rows, backwards), (_, block) in zip(_sector_rows(op.kind, dim, op.modes), sectors)
+    ])]
 
 
-def _matmul(block: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """block @ rows for complex C-contiguous rows, in real arithmetic if the block is real."""
+def _matmul(block: np.ndarray, rows: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """block @ rows for complex rows, in real arithmetic if the block is real; into out if given."""
     if np.isrealobj(block):
-        return (block @ rows.view(float)).view(complex)
-    return block @ rows
+        out = None if out is None else out.view(float)
+        return np.matmul(block, rows.view(float), out=out).view(complex)
+    return np.matmul(block, rows, out=out)
 
 
-def _apply_sectors(t: np.ndarray, sectors: list, modes: tuple[int, ...]) -> np.ndarray:
-    """Gather each sector's rows of a (dim, dim, r) tensor, apply its block, scatter.
+def _apply_sectors(t: np.ndarray, sectors: list) -> np.ndarray:
+    """Each sector's real block on its rows of a (dim, dim, r) tensor, into one new tensor.
 
-    Modes (1, 0) transpose the tensor's first two axes, done here by reading
-    the sector levels through the transposed grid of flat indices.
+    The rows are basic slices of the flat grid, so each product is one BLAS
+    call on strided views of the float data, written in place.
     """
-    dim = t.shape[0]
-    grid = np.arange(dim * dim).reshape(dim, dim)
-    if modes == (1, 0):
-        grid = grid.T
-    flat = t.reshape(dim * dim, -1)
+    flat = t.reshape(t.shape[0] ** 2, -1).view(float)
     out = np.empty_like(flat)
-    for levels, block in sectors:
-        idx = grid[levels]
-        out[idx] = _matmul(block, flat[idx])
-    return out.reshape(t.shape)
+    for rows, block in sectors:
+        np.matmul(block, flat[rows], out=out[rows])
+    return out.view(complex).reshape(t.shape)
 
 
 def _apply_factors(factors: list[tuple], vectors: np.ndarray, dim: int, n_modes: int) -> np.ndarray:
-    """U v for each column of a dim^n stack, with U given by its factors on the kept levels."""
+    """U v for each column of a dim^n stack, with U given by its factors on the kept levels.
+
+    The first factor allocates the output; a later one (the displacement's
+    mode-1 factor) contracts it in place, level by level through one buffer.
+    """
     r = vectors.shape[1]
-    t = np.ascontiguousarray(vectors).reshape((dim,) * n_modes + (r,))
-    for modes, block in factors:
+    t = vectors.reshape((dim,) * n_modes + (r,))
+    for i, (modes, block) in enumerate(factors):
         if len(modes) == 2:
-            t = _apply_sectors(t, block, modes)
+            t = _apply_sectors(t, block)
         elif block.ndim == 1:
             t = t * block.reshape((-1,) + (1,) * (n_modes - modes[0]))
         elif modes[0] == 0:
             t = _matmul(block, t.reshape(dim, -1)).reshape(t.shape)
-        else:
+        elif i == 0:
             t = _matmul(block, t)  # contracts axis 1 for each level of axis 0
+        else:
+            buffer = np.empty((dim, r), dtype=complex)
+            for level in t:
+                _matmul(block, level, buffer)
+                level[...] = buffer
     return t.reshape(dim**n_modes, r)
 
 
@@ -578,7 +618,7 @@ def apply_gaussian_unitary(
     factors = _unitary_factors(op, rho.dim)
     built = time.perf_counter()
     small = _apply_factors(factors, rho.vectors, rho.dim, rho.n_modes)
-    kept_mass = float(np.sum(rho.weights * np.sum(np.abs(small) ** 2, axis=0)))
+    kept_mass = float(_squared_norms(small) @ rho.weights)
     leak = rho.leak + max(0.0, 1.0 - rho.leak - kept_mass)
     stats = {
         "kind": op.kind,
@@ -862,6 +902,7 @@ class OracleReport:
     moment_residual: float | None = None
     energy_residual: float | None = None
     spectrum: list[float] | None = None
+    leak: float | None = None
     brute_force_min_energy: float | None = None
     spectral_floor: float | None = None
     floor_residual: float | None = None
@@ -880,11 +921,11 @@ def verify(state: MomentState, steps: list[ProtocolStep] | None = None,
     come together.  With them the composed steps must carry ``state`` to
     ``final_state`` (replay_residual), and the inverse steps, run as Fock
     unitaries from the thermal state with the final modes' occupations, must
-    give back its moments and energy (moment_residual, energy_residual).  A
-    final pair coupled by a cross block c*1 + d*Omega is first turned and
-    split to a product (``_decoupled_pair``); the thermal state takes the
-    product's occupations, and the ops undoing the split run before the
-    inverse steps.
+    give back its moments and energy (moment_residual, energy_residual); the
+    replayed state's ``leak`` is the trace it lost to the cutoff.  A final
+    pair coupled by a cross block c*1 + d*Omega is first turned and split to
+    a product (``_decoupled_pair``); the thermal state takes the product's
+    occupations, and the ops undoing the split run before the inverse steps.
     Without a protocol, or on two modes, the direct search must meet the
     spectral floor (floor_residual).  Both states must pass ``require_valid``,
     and the cutoff must lie in [2, ``CUTOFF_CAP``].
@@ -906,6 +947,7 @@ def verify(state: MomentState, steps: list[ProtocolStep] | None = None,
             rho = apply_gaussian_unitary(op, rho)
         fields["moment_residual"] = _moment_gap(*moments_of(rho), state)
         fields["energy_residual"] = float(abs(energy_of(rho) - mean_energy(state)))
+        fields["leak"] = rho.leak
     if steps is None or state.n_modes == 2:
         brute = brute_force_min_energy(state, seed=seed, starts=starts)
         floor = minimal_gaussian_energy(spectrum, state.freqs)

@@ -26,6 +26,7 @@ from .core import (
     MomentState,
     _bose_occupation,
     _common_temperature,
+    _require_temperatures,
     _truncated_populations,
     gaussian_entropy,
     mean_energy,
@@ -311,8 +312,7 @@ def thermal_swap_witness(temp_a: float, temp_b: float) -> SwapWitness | None:
     smallest even x exceeding 2*T_min/(T_max - T_min), so swapping those
     populations extracts energy.  Returns None when the temperatures match.
     """
-    if temp_a < 0 or temp_b < 0:
-        raise ValidationError("temperatures must be nonnegative")
+    _require_temperatures((temp_a, temp_b))
     if temp_a == temp_b:
         return None
     t_min, t_max = sorted((temp_a, temp_b))

@@ -384,6 +384,16 @@ def test_witness_command(capsys):
     assert "nonnegative" in err
 
 
+@pytest.mark.parametrize("ta", ["nan", "inf"])
+def test_witness_refuses_non_finite_temperatures(capsys, ta):
+    # --ta nan exited 2 with "unexpected failure", --ta inf exited 1 with an
+    # internal-inconsistency message
+    code, payload, err = run_json(capsys, ["witness", "--ta", ta, "--tb", "1"])
+    assert code == 1
+    assert payload is None
+    assert "temperatures must be finite and nonnegative" in err
+
+
 # ---------------------------------------------------------------------------
 # oracle-verify
 

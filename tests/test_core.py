@@ -16,6 +16,7 @@ from gausswork import (
     state_entropy,
     symplectic_form,
     symplectic_spectrum,
+    thermal_product_passivity,
     thermal_state,
     validate_state,
 )
@@ -271,6 +272,23 @@ def test_thermal_state_covariances():
     st = thermal_state([1.0, 2.0], [1.0, 3.0])
     assert np.isclose(st.cov[0, 0], 1.0 / math.tanh(0.5), atol=1e-12)
     assert np.isclose(st.cov[2, 2], 1.0 / math.tanh(1.0 / 3.0), atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: thermal_state([1.0], [math.inf]),
+        lambda: thermal_state([1.0, 2.0], [1.0, math.nan]),
+        lambda: thermal_product_passivity(1.0, 2.0, math.inf, 1.0),
+        lambda: thermal_product_passivity(1.0, 2.0, 1.0, math.nan),
+    ],
+    ids=["thermal-state-inf", "thermal-state-nan", "passivity-inf", "passivity-nan"],
+)
+def test_the_thermal_mode_model_refuses_non_finite_temperatures(call):
+    # an infinite temperature raised a bare ZeroDivisionError from coth, and
+    # NaN passed the old negative-temperature check
+    with pytest.raises(ValidationError, match="finite and nonnegative"):
+        call()
 
 
 def test_entropy_additive_over_modes():

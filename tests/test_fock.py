@@ -24,6 +24,7 @@ from gausswork import (
     ergotropy_of,
     fixed_entropy_state,
     fock_state,
+    gaussian_ergotropy,
     gaussian_unitary_matrix,
     ladder,
     mean_energy,
@@ -664,6 +665,42 @@ def test_conjugation_peak_memory(op):
     assert peak <= 4 * stack_bytes
 
 
+@pytest.mark.parametrize(
+    "op",
+    [
+        rotation(0.8, 1, 2),
+        squeeze(0.4, 0, 2),
+        squeeze(-0.3, 1, 2),
+        two_mode_squeeze(0.35),
+        two_mode_squeeze(0.25, (1, 0)),
+        beam_splitter(0.9),
+        beam_splitter(0.6, (1, 0)),
+        displacement([0.5, -0.3, 0.2, 0.4]),
+    ],
+    ids=lambda op: f"{op.kind}-{op.modes}",
+)
+def test_a_conjugation_allocates_only_its_output(op):
+    """Sector products write strided views of one output: the peak is the output's bytes."""
+    rho = thermal_fock_state([0.3, 0.2], [1.0, 2.0], 40)
+    assert rho.vectors.shape[1] == 275
+    apply_gaussian_unitary(op, rho)  # the cached bases and sector rows are built outside the peak
+    stack_bytes = rho.vectors.nbytes
+    tracemalloc.start()
+    try:
+        out = apply_gaussian_unitary(op, rho)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * stack_bytes
+    # the float-view sums against the |v|^2 formulas they replace
+    populations = np.abs(out.vectors) ** 2
+    kept = fock._squared_norms(out.vectors) @ out.weights
+    kept_ref = np.sum(out.weights * np.sum(populations, axis=0))
+    assert abs(kept - kept_ref) <= 1e-14 * kept_ref
+    diag, diag_ref = _population_diagonal(out), populations @ out.weights
+    assert np.all(np.abs(diag - diag_ref) <= 1e-14 * diag_ref)
+
+
 def test_moments_peak_memory():
     """The overlaps are taken slab by slab: a call allocates less than one copy of the components."""
     rho = apply_gaussian_unitary(
@@ -1062,6 +1099,26 @@ def test_verify_an_empty_protocol_on_a_passive_state():
     assert report.spectrum == [float(v) for v in symplectic_spectrum(state.cov)]
     assert abs(report.floor_residual) < 1e-9
     assert report.spectral_floor == minimal_gaussian_energy(report.spectrum, state.freqs)
+
+
+@pytest.mark.parametrize("cutoff", [12, 40])
+def test_verify_reports_the_replayed_states_leak(monkeypatch, cutoff):
+    state = MomentState(freqs=[1.0, 1.5], x=np.zeros(4), cov=np.diag([math.exp(-0.5), math.exp(0.5), 1.2, 1.2]))
+    report = gaussian_ergotropy(state)
+    replayed = []
+
+    def recording_moments_of(rho):
+        replayed.append(rho)
+        return moments_of(rho)
+
+    monkeypatch.setattr(fock, "moments_of", recording_moments_of)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TruncationWarning)
+        checked = verify(state, report.steps, report.final_state, cutoff=cutoff, starts=2)
+    [rho] = replayed
+    assert abs(checked.leak - (1.0 - float(rho.weights @ np.linalg.norm(rho.vectors, axis=0) ** 2))) <= 1e-15
+    assert checked.leak == rho.leak
+    assert verify(state, starts=2).leak is None
 
 
 def test_verify_refuses_what_it_cannot_check():

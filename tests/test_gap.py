@@ -502,6 +502,16 @@ def test_witness_equal_temperatures_and_contracts():
         thermal_swap_witness(-1.0, 1.0)
 
 
+@pytest.mark.parametrize(
+    "temps", [(math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0), (0.0, math.inf)], ids=["nan-1", "1-nan", "inf-1", "0-inf"]
+)
+def test_witness_refuses_non_finite_temperatures(temps):
+    # NaN raised "cannot convert float NaN to integer", and an infinite
+    # temperature the misleading "selected swap does not lower the energy"
+    with pytest.raises(ValidationError, match="finite and nonnegative"):
+        thermal_swap_witness(*temps)
+
+
 def test_witness_drop_matches_oracle_swap():
     temp_a, temp_b = 1.0, 3.0
     w = thermal_swap_witness(temp_a, temp_b)
